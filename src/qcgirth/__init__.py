@@ -22,8 +22,10 @@ from .extension import (
 from .girth import (
     EXPONENT_CHECK,
     GRAPH_BFS,
+    CycleSpectrum,
     CycleWitness,
     GirthReport,
+    exponent_sums,
     find_cycle,
     girth_fast,
     girth_oracle,
@@ -51,6 +53,7 @@ __all__ = [
     "CanonicalReport",
     "ChannelParams",
     "ConditionReport",
+    "CycleSpectrum",
     "CycleWitness",
     "DecodeResult",
     "EXPONENT_CHECK",
@@ -70,6 +73,7 @@ __all__ = [
     "find_certified_seed",
     "greedy_seed",
     "expand",
+    "exponent_sums",
     "export_alist",
     "extend_family",
     "family_manifest",

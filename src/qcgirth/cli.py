@@ -17,7 +17,7 @@ from .alist import export_alist
 from .decoder import ChannelParams, monte_carlo, summaries_to_csv
 from .errors import BudgetError, FamilyVerificationError
 from .extension import check_seed_conditions, extend_family, family_manifest
-from .girth import GRAPH_BFS, GirthReport, girth_fast, girth_oracle
+from .girth import GRAPH_BFS, CycleSpectrum, GirthReport, girth_fast, girth_oracle
 from .matrices import QcCode, expand, load_matrix, matrix_to_json
 from .search import SearchConfig, find_certified_seed
 
@@ -37,9 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcgirth",
         description="girth-12 quasi-cyclic LDPC code construction and verification",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="cap on worker threads"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,11 +100,13 @@ def _cmd_girth(args) -> CommandOutcome:
 
 def _cmd_extend(args) -> CommandOutcome:
     matrix = load_matrix(args.matrix)
-    verify = False if args.no_verify else None
+    # One spectrum: the seed's cycle table is scanned once per command.
+    spectrum = CycleSpectrum(matrix)
     codes = extend_family(
-        matrix, args.q, args.p_lo, args.p_hi, verify=verify, threads=args.threads
+        matrix, args.q, args.p_lo, args.p_hi,
+        verify=not args.no_verify, spectrum=spectrum,
     )
-    manifest = family_manifest(matrix, args.q, codes)
+    manifest = family_manifest(matrix, args.q, codes, spectrum=spectrum)
     return CommandOutcome(EXIT_OK, json.dumps(manifest, indent=2))
 
 

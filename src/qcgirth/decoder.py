@@ -28,7 +28,10 @@ CSV_HEADER = "ebn0_db,frames,bit_errors,frame_errors,ber,fer,cap_hit"
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """BPSK/AWGN operating point; ebn0_db may be math.inf (noiseless)."""
+    """BPSK/AWGN operating point; ebn0_db may be math.inf (noiseless).
+
+    Any other value must give a finite, positive noise variance.
+    """
 
     ebn0_db: float
     rate: float
@@ -41,6 +44,15 @@ class ChannelParams:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+        if self.ebn0_db != math.inf:
+            try:
+                usable = 0.0 < self.noise_variance < math.inf
+            except (ZeroDivisionError, OverflowError):
+                usable = False
+            if not usable:
+                raise ValueError(
+                    f"Eb/N0 of {self.ebn0_db} dB gives no finite positive noise variance"
+                )
 
     @property
     def noise_variance(self) -> float:
@@ -193,6 +205,8 @@ def monte_carlo(
         else:
             received = 1.0 + rng.normal(0.0, math.sqrt(sigma2), n)
             llr = 2.0 * received / sigma2
+            if not np.isfinite(llr).all():
+                raise ValueError(f"channel LLRs at {channel.ebn0_db} dB are not finite")
         result = _sp_decode(ctx, llr, max_iter)
         frames += 1
         wrong = int(result.decoded.sum())

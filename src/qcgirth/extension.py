@@ -10,15 +10,19 @@ P >= 2 * p2_max + 1.  That bound is tight: at P = 2 * p2_max the columns
 maximum makes the gap zero, which fails the condition for any nontrivial
 row 1.  This is the conservative reading; it keeps the extension guarantee
 airtight for every pair of distinct column choices.
+
+Girth questions go through one :class:`CycleSpectrum` of the seed: a (3,L)
+matrix with L >= 2 always has 12-cycles (two columns and the three rows, or
+three columns and two rows, telescope to a zero sum), so its girth at P is
+the shortest length through 10 whose exponent sums P divides, else 12.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import FamilyVerificationError
-from .girth import CycleWitness, find_cycle, girth_fast
+from .girth import CycleSpectrum, CycleWitness, find_cycle
 from .matrices import ExponentMatrix, QcCode, canonical_check, matrix_to_json
 
 
@@ -58,11 +62,19 @@ def _row_extremes(matrix: ExponentMatrix) -> tuple[int, int, int]:
     return max(row1), ordered[0], p2_second
 
 
-def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
+def _member_girth(spectrum: CycleSpectrum, p: int) -> int:
+    """Girth at size *p* of a (3,L) matrix with L >= 2 (see module notes)."""
+    return spectrum.shortest_cycle(p) or 12
+
+
+def check_seed_conditions(
+    matrix: ExponentMatrix, q: int, *, spectrum: CycleSpectrum | None = None
+) -> ConditionReport:
     """Evaluate the three extension conditions for a seed at size Q.
 
     Requires a canonical (3,L) matrix with all entries < Q; the guarantee
-    this report certifies is specific to column weight three.
+    this report certifies is specific to column weight three.  Pass the
+    seed's *spectrum* to share its table scans with later calls.
     """
     if matrix.rows != 3:
         raise ValueError(
@@ -76,8 +88,10 @@ def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
     if matrix.max_entry >= q:
         raise ValueError(f"entry {matrix.max_entry} is >= Q={q}")
 
+    spectrum = spectrum or CycleSpectrum(matrix)
     p1_max, p2_max, p2_second = _row_extremes(matrix)
-    cond1 = girth_fast(matrix, q).girth == 12
+    # A single column is acyclic, not girth 12.
+    cond1 = matrix.cols >= 2 and spectrum.shortest_cycle(q) is None
     cond2 = all(a <= b for a, b in zip(matrix.entries[1], matrix.entries[2]))
     cond3 = (p2_max - p2_second) >= p1_max
     return ConditionReport(
@@ -96,20 +110,20 @@ def extend_family(
     q: int,
     p_lo: int,
     p_hi: int,
-    verify: bool | None = None,
+    verify: bool = True,
     *,
-    threads: int = 1,
+    spectrum: CycleSpectrum | None = None,
 ) -> list[QcCode]:
     """One code per circulant size in [p_lo, p_hi], all girth 12.
 
     The seed must pass :func:`check_seed_conditions` at Q and p_lo must be
-    at or above the certified bound.  With *verify* (defaulting to on for
-    ranges of at most 1000 members) every member is independently re-checked
-    by the fast girth computation; a failure aborts with the offending P.
-    Verification runs over a thread pool when *threads* > 1 and results are
-    collected in ascending-P order either way.
+    at or above the certified bound.  With *verify* every member's girth is
+    re-derived from the seed's exponent-sum spectrum (a divisor test per
+    member, no table scan); a member that is not girth 12 aborts with its P.
+    Pass the seed's *spectrum* to share its table scans with later calls.
     """
-    report = check_seed_conditions(matrix, q)
+    spectrum = spectrum or CycleSpectrum(matrix)
+    report = check_seed_conditions(matrix, q, spectrum=spectrum)
     if not report.all_pass:
         raise ValueError(
             "seed fails the extension conditions: "
@@ -132,21 +146,11 @@ def extend_family(
         raise ValueError(f"empty range: {p_hi} < {p_lo}")
 
     sizes = range(p_lo, p_hi + 1)
-    if verify is None:
-        verify = len(sizes) <= 1000
-
     if verify:
-        def girth_at(p: int) -> int | None:
-            return girth_fast(matrix, p).girth
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                girths = list(pool.map(girth_at, sizes))
-        else:
-            girths = [girth_at(p) for p in sizes]
-        for p, g in zip(sizes, girths):
-            if g != 12:
-                raise FamilyVerificationError(p, g)
+        for p in sizes:
+            girth = _member_girth(spectrum, p)
+            if girth != 12:
+                raise FamilyVerificationError(p, girth)
 
     return [QcCode(matrix, p) for p in sizes]
 
@@ -190,15 +194,25 @@ def family_manifest(
     codes: list[QcCode],
     *,
     label: str | None = None,
+    spectrum: CycleSpectrum | None = None,
 ) -> dict:
-    """JSON-ready manifest: seed, Q, bound and one entry per member."""
-    report = check_seed_conditions(matrix, q)
+    """JSON-ready manifest: seed, Q, bound and one entry per member.
+
+    Each member's girth is computed from the seed's exponent-sum spectrum;
+    pass the *spectrum* :func:`extend_family` used to avoid scanning again.
+    """
+    spectrum = spectrum or CycleSpectrum(matrix)
+    p2_max = _row_extremes(matrix)[1]
     return {
         "seed": matrix_to_json(matrix, label),
         "Q": q,
-        "min_P": report.min_p,
+        "min_P": 2 * p2_max + 1,
         "members": [
-            {"P": code.circulant_size, "N": code.block_length, "girth": 12}
+            {
+                "P": code.circulant_size,
+                "N": code.block_length,
+                "girth": _member_girth(spectrum, code.circulant_size),
+            }
             for code in codes
         ],
     }

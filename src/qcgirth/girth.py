@@ -12,7 +12,9 @@ whether the girth is below 12; column-weight-three matrices with at least
 three columns always contain 12-cycles (take two rows u, w and columns
 v1, v2, v3 in the pattern v1 v2 v3 v1 v2 v3: the sum telescopes to zero for
 every P), so "no cycle through length 10" pins the girth to exactly 12 for
-those shapes.
+those shapes.  The unreduced sum decides every P at once: the candidate
+closes at P exactly when P divides it (:func:`exponent_sums`,
+:class:`CycleSpectrum`).
 
 The oracle path expands the matrix, builds the bipartite Tanner graph and
 computes the exact girth by BFS.  It shares nothing with the enumeration
@@ -38,6 +40,7 @@ EXPONENT_CHECK = "EXPONENT_CHECK"
 GRAPH_BFS = "GRAPH_BFS"
 
 SUPPORTED_CYCLE_LENGTHS = (4, 6, 8, 10, 12)
+SHORT_CYCLE_LENGTHS = (4, 6, 8, 10)
 DEFAULT_SEQUENCE_BUDGET = 5_000_000
 DEFAULT_ORACLE_EDGE_BUDGET = 100_000
 
@@ -238,6 +241,38 @@ def _sequence_count(j: int, l: int, k: int) -> int:
     return _alternating_count(j, k) * _alternating_count(l, k)
 
 
+def exponent_sums(
+    matrix: ExponentMatrix,
+    length: int,
+    *,
+    modulus: int | None = None,
+    max_sequences: int = DEFAULT_SEQUENCE_BUDGET,
+) -> np.ndarray:
+    """Alternating exponent sum of every candidate cycle of *length*.
+
+    One value per row of the cached cycle table.  A candidate closes at
+    size P exactly when P divides its sum (Fossorier, IEEE Trans. IT, 2004).
+    With *modulus*, entries are reduced first; the residues are unchanged.
+    Raises BudgetError past *max_sequences* (use the BFS oracle instead).
+    """
+    if length not in SUPPORTED_CYCLE_LENGTHS:
+        raise ValueError(f"cycle length must be one of {SUPPORTED_CYCLE_LENGTHS}")
+    k = length // 2
+    raw = _sequence_count(matrix.rows, matrix.cols, k)
+    if raw > max_sequences:
+        raise BudgetError(
+            f"{raw} candidate sequences for length {length} exceed the budget of "
+            f"{max_sequences}; use the BFS oracle"
+        )
+    table = _cycle_table(matrix.rows, matrix.cols, k)
+    if table is None:
+        return np.zeros(0, dtype=np.int64)
+    entries = np.asarray(matrix.entries, dtype=np.int64)
+    if modulus is not None:
+        entries %= modulus
+    return table.coeffs @ entries.ravel()
+
+
 def find_cycle(
     matrix: ExponentMatrix,
     p: int,
@@ -254,30 +289,45 @@ def find_cycle(
     """
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
-    if length not in SUPPORTED_CYCLE_LENGTHS:
-        raise ValueError(f"cycle length must be one of {SUPPORTED_CYCLE_LENGTHS}")
-    k = length // 2
-    raw = _sequence_count(matrix.rows, matrix.cols, k)
-    if raw > max_sequences:
-        raise BudgetError(
-            f"{raw} candidate sequences for length {length} exceed the budget of "
-            f"{max_sequences}; use the BFS oracle"
-        )
-    table = _cycle_table(matrix.rows, matrix.cols, k)
-    if table is None:
-        return None
-    entries = (np.asarray(matrix.entries, dtype=np.int64) % p).ravel()
-    sums = table.coeffs @ entries
+    sums = exponent_sums(matrix, length, modulus=p, max_sequences=max_sequences)
     hits = np.flatnonzero(sums % p == 0)
     if hits.size == 0:
         return None
     first = int(hits[0])
+    table = _cycle_table(matrix.rows, matrix.cols, length // 2)
     return CycleWitness(
         length=length,
         row_seq=tuple(int(x) for x in table.rows[first]),
         col_seq=tuple(int(x) for x in table.cols[first]),
         modulus=p,
     )
+
+
+class CycleSpectrum:
+    """Exponent-sum magnitudes of a matrix's candidate 4- to 10-cycles.
+
+    Each length's table is scanned once, on first use, under the default
+    sequence budget; after that a short-cycle question at any size P is a
+    divisor test on the sums.
+    """
+
+    def __init__(self, matrix: ExponentMatrix):
+        self._matrix = matrix
+        self._sums: dict[int, tuple[np.ndarray, int, int]] = {}
+
+    def shortest_cycle(self, p: int) -> int | None:
+        """Shortest length through 10 with a cycle closing at size *p*, or None."""
+        if p < 2:
+            raise ValueError(f"modulus must be >= 2, got {p}")
+        for length in SHORT_CYCLE_LENGTHS:
+            if length not in self._sums:
+                sums = np.abs(exponent_sums(self._matrix, length))
+                self._sums[length] = sums, int(sums.min(initial=1)), int(sums.max(initial=0))
+            sums, lo, hi = self._sums[length]
+            # Only a zero sum or one of at least p can be a multiple of p.
+            if (lo == 0 or hi >= p) and (sums % p == 0).any():
+                return length
+        return None
 
 
 def girth_fast(
@@ -297,7 +347,7 @@ def girth_fast(
     """
     if matrix.rows < 2 or matrix.cols < 2:
         return GirthReport(girth=None, method=EXPONENT_CHECK, witness=None)
-    for length in (4, 6, 8, 10):
+    for length in SHORT_CYCLE_LENGTHS:
         witness = find_cycle(matrix, p, length, max_sequences=max_sequences)
         if witness is not None:
             return GirthReport(girth=length, method=EXPONENT_CHECK, witness=witness)
@@ -317,9 +367,11 @@ def girth_oracle(
 
     Builds the bipartite graph (variable nodes = columns, check nodes =
     rows, edges at the ones) and takes the minimum shortest cycle over BFS
-    roots.  Every cycle alternates between the two sides, so rooting on the
-    check side alone already realizes the minimum over all vertices.
-    Returns None for acyclic graphs.
+    roots.  Every cycle alternates between the two sides, so it passes
+    through a check node; shifting every block cyclically maps the graph
+    onto itself, so some copy of it passes through the first check node of
+    a block-row.  One root per block-row therefore realizes the minimum
+    over all vertices.  Returns None for acyclic graphs.
     """
     n_edges = matrix.rows * matrix.cols * p
     if n_edges > max_edges:
@@ -336,15 +388,10 @@ def girth_oracle(
             adj[m + c].append(r)
 
     best = float("inf")
-    mark = [0] * n_vertices
-    dist = [0] * n_vertices
-    parent = [-1] * n_vertices
-    epoch = 0
-    for root in range(m):
-        epoch += 1
-        mark[root] = epoch
+    for root in range(0, m, p):
+        dist = [-1] * n_vertices
+        parent = [-1] * n_vertices
         dist[root] = 0
-        parent[root] = -1
         queue = deque([root])
         while queue:
             x = queue.popleft()
@@ -355,12 +402,11 @@ def girth_oracle(
             for y in adj[x]:
                 if y == px:
                     continue
-                if mark[y] == epoch:
+                if dist[y] >= 0:
                     cand = dx + dist[y] + 1
                     if cand < best:
                         best = cand
                 else:
-                    mark[y] = epoch
                     dist[y] = dx + 1
                     parent[y] = x
                     queue.append(y)

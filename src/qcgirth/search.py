@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import SearchBudgetError
 from .extension import ConditionReport, check_seed_conditions, _row_extremes
-from .girth import find_cycle, girth_fast
+from .girth import CycleSpectrum
 from .matrices import ExponentMatrix
 
 _MOVE_SPAN = 8  # single-entry perturbation offsets drawn from [-8, 8] \ {0}
@@ -56,17 +56,9 @@ class SearchConfig:
             raise ValueError("restarts must be >= 1")
 
 
-def _has_short_cycle(matrix: ExponentMatrix, q: int) -> bool:
-    """True when some cycle of length 4..10 closes at modulus q."""
-    for length in (4, 6, 8, 10):
-        if find_cycle(matrix, q, length) is not None:
-            return True
-    return False
-
-
 def _condition_flags(matrix: ExponentMatrix, q_cap: int) -> tuple[bool, bool, bool]:
     """(girth-12 at q_cap, element-wise order, row-2 gap)."""
-    no_short = not _has_short_cycle(matrix, q_cap)
+    no_short = CycleSpectrum(matrix).shortest_cycle(q_cap) is None
     cond2 = all(a <= b for a, b in zip(matrix.entries[1], matrix.entries[2]))
     p1_max, p2_max, p2_second = _row_extremes(matrix)
     cond3 = (p2_max - p2_second) >= p1_max
@@ -101,7 +93,7 @@ def greedy_seed(cfg: SearchConfig) -> ExponentMatrix:
                 candidate = ExponentMatrix.from_rows(
                     [[0] * (len(p1s) + 1), p1s + [a], p2s + [b]]
                 )
-                if _has_short_cycle(candidate, cfg.q_cap):
+                if CycleSpectrum(candidate).shortest_cycle(cfg.q_cap):
                     continue
                 if cfg.greedy_enforce_gap and not _gap_ok(p1s + [a], p2s + [b]):
                     continue
@@ -193,9 +185,10 @@ def find_certified_seed(cfg: SearchConfig) -> tuple[ExponentMatrix, int, Conditi
         no_short, cond2, cond3 = _condition_flags(candidate, cfg.q_cap)
         if not (cond2 and cond3):
             continue
+        spectrum = CycleSpectrum(candidate)
         for q in range(max(2, candidate.max_entry + 1), cfg.q_cap + 1):
-            if girth_fast(candidate, q).girth == 12:
-                report = check_seed_conditions(candidate, q)
+            if spectrum.shortest_cycle(q) is None:
+                report = check_seed_conditions(candidate, q, spectrum=spectrum)
                 if report.all_pass:
                     return candidate, q, report
                 break

@@ -95,6 +95,15 @@ class TestExtend:
         assert outcome.exit_code == 0
         assert len(json.loads(outcome.stdout_payload)["members"]) == 4
 
+    def test_threads_flag_is_gone(self, seed_path):
+        outcome = run(
+            [
+                "--threads", "4", "extend", "--matrix", seed_path, "--q", "393",
+                "--from", "449", "--to", "452",
+            ]
+        )
+        assert outcome.exit_code == 2
+
 
 class TestSearch:
     def test_small_search(self):
@@ -167,6 +176,21 @@ class TestSimulate:
             ]
         )
         assert outcome.exit_code == 2
+
+    @pytest.mark.parametrize("ebn0", ["-inf", "-3100", "3080"])
+    def test_unusable_ebn0_is_input_error(self, seed_path, ebn0, capsys):
+        # -inf used to divide by zero; -3100 overflowed the noise variance
+        # to inf and reported fer=0; 3080 gives infinite channel LLRs
+        outcome = run(
+            [
+                "simulate", "--matrix", seed_path, "--p", "29",
+                f"--ebn0={ebn0}", "--max-iter", "10",
+                "--min-error-frames", "2", "--frame-cap", "5", "--seed", "5",
+            ]
+        )
+        assert outcome.exit_code == 2
+        assert outcome.stdout_payload == ""
+        assert "error:" in capsys.readouterr().err
 
 
 class TestErrorPaths:

@@ -126,6 +126,12 @@ class TestChannelParams:
         with pytest.raises(ValueError, match="NaN"):
             ChannelParams(math.nan, 0.5, 1)
 
+    @pytest.mark.parametrize("ebn0", [-math.inf, -3100.0, 4000.0])
+    def test_rejects_unusable_noise_variance(self, ebn0):
+        # zero, infinite and overflowing sigma^2 respectively
+        with pytest.raises(ValueError, match="noise variance"):
+            ChannelParams(ebn0, 0.5, 1)
+
 
 class TestMonteCarlo:
     def test_noiseless_runs_error_free(self, ref_seed):
@@ -136,6 +142,12 @@ class TestMonteCarlo:
         assert summary.ber == 0.0
         assert summary.frames == 20
         assert summary.cap_hit
+
+    def test_rejects_non_finite_channel_llrs(self, ref_seed):
+        # sigma^2 = 1e-308 is finite and positive, but 2 / sigma^2 is not
+        channel = ChannelParams(3080.0, 0.5, 1)
+        with pytest.raises(ValueError, match="not finite"):
+            monte_carlo(QcCode(ref_seed, 29), channel, 5, 1, 1)
 
     def test_frame_cap_semantics(self, ref_seed):
         code = QcCode(ref_seed, 29)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qcgirth import (
+    CycleSpectrum,
     ExponentMatrix,
     FamilyVerificationError,
     check_seed_conditions,
@@ -12,9 +13,32 @@ from qcgirth import (
     family_manifest,
     find_cycle,
     girth_fast,
+    girth_oracle,
     tightness_witness,
 )
-from qcgirth.extension import _row_extremes
+from qcgirth.cli import run
+from qcgirth.extension import _member_girth, _row_extremes
+
+from conftest import REPO_ROOT
+
+
+def _plant_8_cycle_at_455(monkeypatch):
+    """Tamper with the exponent sums: one 8-cycle sum becomes 455.
+
+    Among P in 449..478 only 455 divides it, and Q=393 does not, so the seed
+    still certifies and exactly one family member is defective.
+    """
+    import qcgirth.girth as girth
+
+    real = girth.exponent_sums
+
+    def tampered(matrix, length, **kwargs):
+        sums = real(matrix, length, **kwargs)
+        if length == 8:
+            sums[0] = 455
+        return sums
+
+    monkeypatch.setattr(girth, "exponent_sums", tampered)
 
 
 class TestCheckSeedConditions:
@@ -118,25 +142,11 @@ class TestExtendFamily:
         with pytest.raises(ValueError, match="extension conditions"):
             extend_family(m, 5, 11, 12)
 
-    def test_threaded_verification_matches_serial(self, ref_seed):
-        serial = extend_family(ref_seed, 393, 449, 460, verify=True)
-        threaded = extend_family(ref_seed, 393, 449, 460, verify=True, threads=4)
-        assert serial == threaded
-
     def test_verification_would_catch_a_bad_member(self, ref_seed, monkeypatch):
-        import qcgirth.extension as ext
-
-        real = ext.girth_fast
-
-        def tampered(matrix, p, **kwargs):
-            report = real(matrix, p, **kwargs)
-            if p == 455:
-                return real(matrix, 448, **kwargs)  # girth 8: simulated defect
-            return report
-
-        monkeypatch.setattr(ext, "girth_fast", tampered)
-        with pytest.raises(FamilyVerificationError, match="455"):
+        _plant_8_cycle_at_455(monkeypatch)
+        with pytest.raises(FamilyVerificationError, match="455") as info:
             extend_family(ref_seed, 393, 449, 478)
+        assert info.value.girth == 8
 
     def test_sampled_members_stay_girth_12(self, ref_seed):
         rng = random.Random(31)
@@ -187,3 +197,51 @@ class TestFamilyManifest:
         assert manifest["min_P"] == 449
         assert manifest["members"][0] == {"P": 449, "N": 2694, "girth": 12}
         assert manifest["seed"]["entries"][2][5] == 224
+
+    def test_reports_the_computed_girth(self, ref_seed, monkeypatch):
+        _plant_8_cycle_at_455(monkeypatch)
+        codes = extend_family(ref_seed, 393, 454, 456, verify=False)
+        manifest = family_manifest(ref_seed, 393, codes)
+        assert [m["girth"] for m in manifest["members"]] == [12, 8, 12]
+
+    def test_shared_spectrum_scans_each_length_once(self, ref_seed, monkeypatch):
+        import qcgirth.girth as girth
+
+        real, calls = girth.exponent_sums, []
+
+        def counted(matrix, length, **kwargs):
+            calls.append(length)
+            return real(matrix, length, **kwargs)
+
+        monkeypatch.setattr(girth, "exponent_sums", counted)
+        spectrum = CycleSpectrum(ref_seed)
+        codes = extend_family(ref_seed, 393, 449, 478, spectrum=spectrum)
+        family_manifest(ref_seed, 393, codes, spectrum=spectrum)
+        assert calls == [4, 6, 8, 10]
+
+
+class TestWholeFamilyCrossCheck:
+    """The spectrum girth against both independent paths, P by P."""
+
+    def test_matches_girth_fast_for_every_p_up_to_3000(self, ref_seed):
+        spectrum = CycleSpectrum(ref_seed)
+        for p in range(2, 3001):
+            assert _member_girth(spectrum, p) == girth_fast(ref_seed, p).girth, p
+
+    def test_matches_oracle_across_and_below_the_family(self, ref_seed):
+        # 449..478 is the 30-member family; below min_P = 449, short cycles
+        # close wherever P divides an exponent sum (8-cycles at P = 448)
+        spectrum = CycleSpectrum(ref_seed)
+        girths = {p: _member_girth(spectrum, p) for p in range(380, 479)}
+        assert girths[448] == 8
+        assert set(girths[p] for p in range(449, 479)) == {12}
+        for p, girth in girths.items():
+            assert girth == girth_oracle(ref_seed, p), p
+
+    @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
+    def test_cli_manifest_is_unchanged(self, seed_fixture_path, flags):
+        golden = REPO_ROOT / "tests" / "data" / "manifest_seed_3x6_q393_449_478.json"
+        outcome = run(["extend", "--matrix", str(seed_fixture_path), "--q", "393",
+                       "--from", "449", "--to", "478", *flags])
+        assert outcome.exit_code == 0
+        assert outcome.stdout_payload + "\n" == golden.read_text(encoding="utf-8")

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcgirth import (
     BudgetError,
+    CycleSpectrum,
     CycleWitness,
     EXPONENT_CHECK,
     ExponentMatrix,
@@ -13,6 +16,7 @@ from qcgirth import (
     GirthReport,
     QcCode,
     expand,
+    exponent_sums,
     find_cycle,
     girth_fast,
     girth_oracle,
@@ -25,6 +29,35 @@ from qcgirth.girth import (
 )
 
 from conftest import random_canonical_matrix
+
+
+def _girth_every_root(matrix, p):
+    """Reference girth: shortest cycle found by BFS from every vertex."""
+    h = expand(QcCode(matrix, p))
+    m = h.n_rows
+    adj = [[] for _ in range(m + h.n_cols)]
+    for r, support in enumerate(h.row_supports):
+        for c in support:
+            adj[r].append(m + c)
+            adj[m + c].append(r)
+    best = None
+    for root in range(len(adj)):
+        dist, parent = {root: 0}, {root: None}
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            if best is not None and 2 * dist[x] >= best:
+                break
+            for y in adj[x]:
+                if y == parent[x]:
+                    continue
+                if y in dist:
+                    cycle = dist[x] + dist[y] + 1
+                    best = cycle if best is None else min(best, cycle)
+                else:
+                    dist[y], parent[y] = dist[x] + 1, x
+                    queue.append(y)
+    return best
 
 
 class TestCycleWitness:
@@ -210,6 +243,13 @@ class TestGirthOracle:
 
 
 class TestAgreement:
+    def test_block_row_roots_equal_every_root(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            j, l, p = rng.randint(1, 4), rng.randint(1, 6), rng.randint(2, 40)
+            m = random_canonical_matrix(rng, j, l, p)
+            assert girth_oracle(m, p) == _girth_every_root(m, p), (m, p)
+
     def test_fast_equals_oracle_on_random_matrices(self):
         rng = random.Random(12345)
         for _ in range(120):
@@ -271,3 +311,60 @@ class TestGirthReport:
         infinite = girth_fast(ExponentMatrix.from_rows([[0, 1]]), 5)
         assert infinite.to_json_dict()["girth"] is None
         assert infinite.to_json_dict()["witness"] is None
+
+
+class TestExponentSums:
+    def test_reference_seed_maximum_is_448(self, ref_seed):
+        # every sum stays below the certified bound min_P = 449
+        top = max(int(abs(exponent_sums(ref_seed, n)).max()) for n in (4, 6, 8, 10))
+        assert top == 448
+
+    def test_sums_match_the_witness_evaluation(self, ref_seed):
+        table = _cycle_table(3, 6, 3)
+        sums = exponent_sums(ref_seed, 6)
+        for i in range(0, len(sums), 97):
+            rows, cols = tuple(map(int, table.rows[i])), tuple(map(int, table.cols[i]))
+            assert CycleWitness(6, rows, cols, 2).exponent_sum(ref_seed) == sums[i]
+
+    def test_no_candidates_is_empty(self):
+        assert exponent_sums(ExponentMatrix.from_rows([[0, 1, 2]]), 4).size == 0
+
+    def test_budget_error(self, ref_seed):
+        with pytest.raises(BudgetError, match="oracle"):
+            exponent_sums(ref_seed, 10, max_sequences=10)
+
+
+def _matrices(rows, cols, max_entry):
+    """Exponent matrices of any entries (not canonical, possibly >= P)."""
+    grids = rows.flatmap(
+        lambda j: cols.flatmap(
+            lambda l: st.lists(
+                st.lists(st.integers(0, max_entry), min_size=l, max_size=l),
+                min_size=j,
+                max_size=j,
+            )
+        )
+    )
+    return grids.map(ExponentMatrix.from_rows)
+
+
+class TestSpectrumProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        m=_matrices(st.integers(2, 4), st.integers(2, 4), 10 ** 6),
+        p=st.integers(2, 500),
+    )
+    def test_shortest_cycle_matches_find_cycle_and_witnesses(self, m, p):
+        # unreduced sums (spectrum) vs reduced sums (find_cycle) vs the
+        # witness's own Python-integer evaluation
+        witnesses = [find_cycle(m, p, n) for n in (4, 6, 8, 10)]
+        for w in witnesses:
+            assert w is None or w.holds_for(m)
+        first = next((w.length for w in witnesses if w is not None), None)
+        assert CycleSpectrum(m).shortest_cycle(p) == first
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=_matrices(st.just(3), st.integers(2, 5), 300), p=st.integers(2, 40))
+    def test_three_row_girth_is_shortest_cycle_or_12(self, m, p):
+        # (3,L) with L >= 2 always closes 12-cycles, L = 2 included
+        assert (CycleSpectrum(m).shortest_cycle(p) or 12) == girth_oracle(m, p)
