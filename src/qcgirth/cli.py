@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,10 +156,15 @@ def _cmd_simulate(args) -> CommandOutcome:
             f"design rate 1 - J/L = {rate:.3f} is not in (0, 1); "
             "simulation needs more columns than rows"
         )
+    tokens = [tok.strip() for tok in args.ebn0.split(",") if tok.strip()]
     try:
-        points = [float(tok) for tok in args.ebn0.split(",") if tok.strip()]
+        points = [float(tok) for tok in tokens]
     except ValueError as e:
         raise ValueError(f"bad --ebn0 list: {args.ebn0!r}") from e
+    for tok, ebn0 in zip(tokens, points):
+        # Only a literal inf selects the noiseless sentinel; 1e400 overflows to it.
+        if ebn0 == math.inf and tok.lower() not in ("inf", "+inf"):
+            raise ValueError(f"Eb/N0 {tok!r} overflows a float")
     if not points:
         raise ValueError("empty --ebn0 list")
     summaries = []

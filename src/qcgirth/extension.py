@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FamilyVerificationError
+from .errors import BudgetError, FamilyVerificationError
 from .girth import CycleSpectrum, CycleWitness, find_cycle
 from .matrices import ExponentMatrix, QcCode, canonical_check, matrix_to_json
+
+MAX_FAMILY_MEMBERS = 1_000_000  # largest P window one extend_family call builds
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,21 @@ class ConditionReport:
     min_p: int
 
     @property
+    def failures(self) -> tuple[str, ...]:
+        """Names of the failed conditions, in condition order."""
+        return tuple(
+            name
+            for name, ok in (
+                ("girth-12 at Q", self.cond1_girth12),
+                ("element-wise row order", self.cond2_elementwise),
+                ("row-2 gap", self.cond3_gap),
+            )
+            if not ok
+        )
+
+    @property
     def all_pass(self) -> bool:
-        return self.cond1_girth12 and self.cond2_elementwise and self.cond3_gap
+        return not self.failures
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,7 +103,13 @@ def check_seed_conditions(
     if matrix.max_entry >= q:
         raise ValueError(f"entry {matrix.max_entry} is >= Q={q}")
 
-    spectrum = spectrum or CycleSpectrum(matrix)
+    return _condition_report(matrix, q, spectrum or CycleSpectrum(matrix))
+
+
+def _condition_report(
+    matrix: ExponentMatrix, q: int, spectrum: CycleSpectrum
+) -> ConditionReport:
+    """The three conditions for a (3,L) matrix at size Q, without validation."""
     p1_max, p2_max, p2_second = _row_extremes(matrix)
     # A single column is acyclic, not girth 12.
     cond1 = matrix.cols >= 2 and spectrum.shortest_cycle(q) is None
@@ -121,21 +142,19 @@ def extend_family(
     re-derived from the seed's exponent-sum spectrum (a divisor test per
     member, no table scan); a member that is not girth 12 aborts with its P.
     Pass the seed's *spectrum* to share its table scans with later calls.
+    Windows of more than MAX_FAMILY_MEMBERS sizes raise BudgetError before
+    any work starts.
     """
+    if p_hi - p_lo + 1 > MAX_FAMILY_MEMBERS:
+        raise BudgetError(
+            f"P window {p_lo}..{p_hi} holds {p_hi - p_lo + 1} members, over the "
+            f"cap of {MAX_FAMILY_MEMBERS}"
+        )
     spectrum = spectrum or CycleSpectrum(matrix)
     report = check_seed_conditions(matrix, q, spectrum=spectrum)
     if not report.all_pass:
         raise ValueError(
-            "seed fails the extension conditions: "
-            + ", ".join(
-                name
-                for name, ok in (
-                    ("girth-12 at Q", report.cond1_girth12),
-                    ("element-wise row order", report.cond2_elementwise),
-                    ("row-2 gap", report.cond3_gap),
-                )
-                if not ok
-            )
+            "seed fails the extension conditions: " + ", ".join(report.failures)
         )
     if p_lo < report.min_p:
         raise ValueError(
@@ -176,9 +195,7 @@ def tightness_witness(matrix: ExponentMatrix) -> CycleWitness:
     max_cols = [v for v, e in enumerate(row2) if e == p2_max]
     if len(max_cols) == 1 and max_cols[0] != 0:
         x = max_cols[0]
-        return CycleWitness(
-            length=8, row_seq=(0, 2, 0, 2), col_seq=(0, x, 0, x), modulus=modulus
-        )
+        return CycleWitness(8, (0, 2, 0, 2), (0, x, 0, x), modulus)
     witness = find_cycle(matrix, modulus, 8)
     if witness is None:
         raise ValueError(

@@ -29,20 +29,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetError
-from .matrices import ExponentMatrix, QcCode, expand
+from .matrices import MAX_VALUE, ExponentMatrix, QcCode, expand
 
 EXPONENT_CHECK = "EXPONENT_CHECK"
 GRAPH_BFS = "GRAPH_BFS"
 
 SUPPORTED_CYCLE_LENGTHS = (4, 6, 8, 10, 12)
 SHORT_CYCLE_LENGTHS = (4, 6, 8, 10)
-DEFAULT_SEQUENCE_BUDGET = 5_000_000
-DEFAULT_ORACLE_EDGE_BUDGET = 100_000
+SEQUENCE_BUDGET = 5_000_000  # candidate sequences per enumerated length
+ORACLE_EDGE_BUDGET = 100_000  # edges of the expanded Tanner graph
 
 
 @dataclass(frozen=True)
@@ -127,12 +126,6 @@ class GirthReport:
         }
 
 
-class _CycleTable(NamedTuple):
-    rows: np.ndarray    # (n, k) row index sequences, canonical representatives
-    cols: np.ndarray    # (n, k) column index sequences
-    coeffs: np.ndarray  # (n, J*L) signed coefficients of the exponent sum
-
-
 def _alternating_count(symbols: int, k: int) -> int:
     """Number of cyclic sequences over `symbols` with adjacent terms distinct."""
     if symbols <= 0:
@@ -166,48 +159,38 @@ def _canonical_mask(full_r: np.ndarray, full_c: np.ndarray, k: int, base: int) -
 
     Rotating (row_seq, col_seq) jointly or traversing the cycle backwards
     (rows (r_0, r_{k-1}, .., r_1), columns reversed) names the same cycle;
-    the kept representative is the lexicographically smallest tuple.
+    the kept representative is the lexicographically smallest tuple.  The
+    tuple is packed into one int64 key, which fits for every shape the
+    sequence budget admits (base ** (2k) < 2 ** 62).
     """
-    if base ** (2 * k) < 2 ** 62:
-        def key_of(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-            key = np.zeros(len(r), dtype=np.int64)
-            for i in range(k):
-                key = key * base + r[:, i]
-            for i in range(k):
-                key = key * base + c[:, i]
-            return key
+    def key_of(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        key = np.zeros(len(r), dtype=np.int64)
+        for i in range(k):
+            key = key * base + r[:, i]
+        for i in range(k):
+            key = key * base + c[:, i]
+        return key
 
-        orig = key_of(full_r, full_c)
-        best = orig.copy()
-        for t in range(k):
-            if t:
-                idx = [(i + t) % k for i in range(k)]
-                np.minimum(best, key_of(full_r[:, idx], full_c[:, idx]), out=best)
-            ridx = [(t - i) % k for i in range(k)]
-            cidx = [(t - 1 - i) % k for i in range(k)]
-            np.minimum(best, key_of(full_r[:, ridx], full_c[:, cidx]), out=best)
-        return orig == best
-
-    # Exotic shapes where the packed key would overflow: plain-tuple orbits.
-    keep = np.zeros(len(full_r), dtype=bool)
-    for s in range(len(full_r)):
-        r = tuple(int(x) for x in full_r[s])
-        c = tuple(int(x) for x in full_c[s])
-        cand = [r + c]
-        for t in range(k):
-            if t:
-                cand.append(tuple(r[(i + t) % k] for i in range(k))
-                            + tuple(c[(i + t) % k] for i in range(k)))
-            cand.append(tuple(r[(t - i) % k] for i in range(k))
-                        + tuple(c[(t - 1 - i) % k] for i in range(k)))
-        keep[s] = min(cand) == r + c
-    return keep
+    orig = key_of(full_r, full_c)
+    best = orig.copy()
+    for t in range(k):
+        if t:
+            idx = [(i + t) % k for i in range(k)]
+            np.minimum(best, key_of(full_r[:, idx], full_c[:, idx]), out=best)
+        ridx = [(t - i) % k for i in range(k)]
+        cidx = [(t - 1 - i) % k for i in range(k)]
+        np.minimum(best, key_of(full_r[:, ridx], full_c[:, cidx]), out=best)
+    return orig == best
 
 
 @lru_cache(maxsize=None)
-def _cycle_table(j: int, l: int, k: int) -> _CycleTable | None:
+def _cycle_table(j: int, l: int, k: int) -> np.ndarray | None:
     """Enumeration table for 2k-cycles of a J x L exponent matrix.
 
+    A (k, n) array with one column per canonical candidate.  Entry i is the
+    flat index (r_i * J + r_{i+1}) * L + c_i of the term
+    E[r_i][c_i] - E[r_{i+1}][c_i] in the J x J x L grid of column
+    differences, so a candidate's exponent sum adds k gathered differences.
     Returns None when no valid sequence exists (fewer than two rows or
     columns, or odd k with fewer than three of either).
     """
@@ -226,88 +209,68 @@ def _cycle_table(j: int, l: int, k: int) -> _CycleTable | None:
     keep = _canonical_mask(full_r, full_c, k, base=max(j, l))
     full_r = full_r[keep]
     full_c = full_c[keep]
-
-    n = len(full_r)
-    coeffs = np.zeros((n, j * l), dtype=np.int64)
-    rows_next = np.roll(full_r, -1, axis=1)
-    idx = np.arange(n)
-    for i in range(k):
-        np.add.at(coeffs, (idx, full_r[:, i] * l + full_c[:, i]), 1)
-        np.add.at(coeffs, (idx, rows_next[:, i] * l + full_c[:, i]), -1)
-    return _CycleTable(full_r, full_c, coeffs)
+    terms = (full_r * j + np.roll(full_r, -1, axis=1)) * l + full_c
+    return np.ascontiguousarray(terms.T)
 
 
 def _sequence_count(j: int, l: int, k: int) -> int:
     return _alternating_count(j, k) * _alternating_count(l, k)
 
 
-def exponent_sums(
-    matrix: ExponentMatrix,
-    length: int,
-    *,
-    modulus: int | None = None,
-    max_sequences: int = DEFAULT_SEQUENCE_BUDGET,
-) -> np.ndarray:
+def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
     """Alternating exponent sum of every candidate cycle of *length*.
 
-    One value per row of the cached cycle table.  A candidate closes at
+    One value per candidate of the cached cycle table.  A candidate closes at
     size P exactly when P divides its sum (Fossorier, IEEE Trans. IT, 2004).
-    With *modulus*, entries are reduced first; the residues are unchanged.
-    Raises BudgetError past *max_sequences* (use the BFS oracle instead).
+    Entries are at most MAX_VALUE, so no sum overflows int64.  Raises
+    BudgetError past SEQUENCE_BUDGET (use the BFS oracle instead).
     """
     if length not in SUPPORTED_CYCLE_LENGTHS:
         raise ValueError(f"cycle length must be one of {SUPPORTED_CYCLE_LENGTHS}")
     k = length // 2
     raw = _sequence_count(matrix.rows, matrix.cols, k)
-    if raw > max_sequences:
+    if raw > SEQUENCE_BUDGET:
         raise BudgetError(
             f"{raw} candidate sequences for length {length} exceed the budget of "
-            f"{max_sequences}; use the BFS oracle"
+            f"{SEQUENCE_BUDGET}; use the BFS oracle"
         )
     table = _cycle_table(matrix.rows, matrix.cols, k)
     if table is None:
         return np.zeros(0, dtype=np.int64)
     entries = np.asarray(matrix.entries, dtype=np.int64)
-    if modulus is not None:
-        entries %= modulus
-    return table.coeffs @ entries.ravel()
+    differences = (entries[:, None, :] - entries[None, :, :]).ravel()
+    return differences[table].sum(axis=0)
 
 
-def find_cycle(
-    matrix: ExponentMatrix,
-    p: int,
-    length: int,
-    *,
-    max_sequences: int = DEFAULT_SEQUENCE_BUDGET,
-) -> CycleWitness | None:
+def _check_modulus(p: int) -> None:
+    if not 2 <= p <= MAX_VALUE:
+        raise ValueError(f"modulus must be in [2, {MAX_VALUE}], got {p}")
+
+
+def find_cycle(matrix: ExponentMatrix, p: int, length: int) -> CycleWitness | None:
     """Search for a cycle of exactly *length* at modulus *p*.
 
     Exhaustive over all alternating closed sequences of that length; returns
     the lexicographically smallest canonical witness, or None.  Raises
-    BudgetError when the enumeration would exceed *max_sequences* (use the
-    BFS oracle instead).
+    BudgetError past SEQUENCE_BUDGET (use the BFS oracle instead).
     """
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    sums = exponent_sums(matrix, length, modulus=p, max_sequences=max_sequences)
+    _check_modulus(p)
+    sums = exponent_sums(matrix, length)
     hits = np.flatnonzero(sums % p == 0)
     if hits.size == 0:
         return None
-    first = int(hits[0])
     table = _cycle_table(matrix.rows, matrix.cols, length // 2)
-    return CycleWitness(
-        length=length,
-        row_seq=tuple(int(x) for x in table.rows[first]),
-        col_seq=tuple(int(x) for x in table.cols[first]),
-        modulus=p,
-    )
+    terms = [int(t) for t in table[:, hits[0]]]
+    row_seq = tuple(t // (matrix.rows * matrix.cols) for t in terms)
+    col_seq = tuple(t % matrix.cols for t in terms)
+    return CycleWitness(length, row_seq, col_seq, p)
 
 
 class CycleSpectrum:
     """Exponent-sum magnitudes of a matrix's candidate 4- to 10-cycles.
 
-    Each length's table is scanned once, on first use, under the default
-    sequence budget; after that a short-cycle question at any size P is a
+    Each length's table is scanned once, on first use, under the sequence
+    budget; after that a short-cycle question at any size P is a
     divisor test on the sums.
     """
 
@@ -317,8 +280,7 @@ class CycleSpectrum:
 
     def shortest_cycle(self, p: int) -> int | None:
         """Shortest length through 10 with a cycle closing at size *p*, or None."""
-        if p < 2:
-            raise ValueError(f"modulus must be >= 2, got {p}")
+        _check_modulus(p)
         for length in SHORT_CYCLE_LENGTHS:
             if length not in self._sums:
                 sums = np.abs(exponent_sums(self._matrix, length))
@@ -330,13 +292,7 @@ class CycleSpectrum:
         return None
 
 
-def girth_fast(
-    matrix: ExponentMatrix,
-    p: int,
-    *,
-    max_sequences: int = DEFAULT_SEQUENCE_BUDGET,
-    oracle_max_edges: int = DEFAULT_ORACLE_EDGE_BUDGET,
-) -> GirthReport:
+def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
     """Girth from the exponent matrix alone (BFS fallback for odd shapes).
 
     Scans lengths 4, 6, 8, 10 for a witness.  Finding none pins the girth
@@ -348,21 +304,16 @@ def girth_fast(
     if matrix.rows < 2 or matrix.cols < 2:
         return GirthReport(girth=None, method=EXPONENT_CHECK, witness=None)
     for length in SHORT_CYCLE_LENGTHS:
-        witness = find_cycle(matrix, p, length, max_sequences=max_sequences)
+        witness = find_cycle(matrix, p, length)
         if witness is not None:
             return GirthReport(girth=length, method=EXPONENT_CHECK, witness=witness)
     if matrix.rows == 3 and matrix.cols >= 3:
         return GirthReport(girth=12, method=EXPONENT_CHECK, witness=None)
-    girth = girth_oracle(matrix, p, max_edges=oracle_max_edges)
+    girth = girth_oracle(matrix, p)
     return GirthReport(girth=girth, method=GRAPH_BFS, witness=None)
 
 
-def girth_oracle(
-    matrix: ExponentMatrix,
-    p: int,
-    *,
-    max_edges: int = DEFAULT_ORACLE_EDGE_BUDGET,
-) -> int | None:
+def girth_oracle(matrix: ExponentMatrix, p: int) -> int | None:
     """Exact girth of the expanded Tanner graph by breadth-first search.
 
     Builds the bipartite graph (variable nodes = columns, check nodes =
@@ -374,9 +325,10 @@ def girth_oracle(
     over all vertices.  Returns None for acyclic graphs.
     """
     n_edges = matrix.rows * matrix.cols * p
-    if n_edges > max_edges:
+    if n_edges > ORACLE_EDGE_BUDGET:
         raise BudgetError(
-            f"expanded graph has {n_edges} edges, over the oracle budget of {max_edges}"
+            f"expanded graph has {n_edges} edges, over the oracle budget of "
+            f"{ORACLE_EDGE_BUDGET}"
         )
     h = expand(QcCode(matrix, p))
     m, n = h.n_rows, h.n_cols

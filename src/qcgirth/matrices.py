@@ -17,6 +17,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+# Largest accepted exponent entry and circulant size.  A cycle's exponent
+# sum adds at most six differences of entries, so |sum| <= 6 * 2**59 < 2**63
+# and every sum is exact in int64.
+MAX_VALUE = 2 ** 59
+
 
 @dataclass(frozen=True)
 class ExponentMatrix:
@@ -36,6 +41,8 @@ class ExponentMatrix:
                     raise ValueError(f"exponent entries must be integers, got {e!r}")
                 if e < 0:
                     raise ValueError(f"negative exponent {e}")
+                if e > MAX_VALUE:
+                    raise ValueError(f"exponent {e} exceeds the limit of {MAX_VALUE}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "ExponentMatrix":
@@ -100,8 +107,10 @@ class QcCode:
 
     def __post_init__(self):
         p = self.circulant_size
-        if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-            raise ValueError(f"circulant size must be an integer >= 2, got {p!r}")
+        if not isinstance(p, int) or isinstance(p, bool) or not 2 <= p <= MAX_VALUE:
+            raise ValueError(
+                f"circulant size must be an integer in [2, {MAX_VALUE}], got {p!r}"
+            )
 
     @property
     def block_length(self) -> int:

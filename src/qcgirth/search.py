@@ -20,12 +20,14 @@ import random
 from dataclasses import dataclass
 
 from .errors import SearchBudgetError
-from .extension import ConditionReport, check_seed_conditions, _row_extremes
+from .extension import ConditionReport, _condition_report, check_seed_conditions
 from .girth import CycleSpectrum
 from .matrices import ExponentMatrix
 
 _MOVE_SPAN = 8  # single-entry perturbation offsets drawn from [-8, 8] \ {0}
 _PENALTY_FACTOR = 10  # penalty per violated condition is 10 * q_cap
+_INITIAL_TEMPERATURE = 10.0
+_COOLING_RATE = 0.995  # temperature factor per annealing step
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,7 @@ class SearchConfig:
     q_cap: int
     seed: int = 0
     max_steps: int = 200_000
-    initial_temperature: float = 10.0
-    cooling_rate: float = 0.995
     restarts: int = 8
-    greedy_enforce_gap: bool = False
 
     def __post_init__(self):
         if self.cols < 1:
@@ -48,33 +47,13 @@ class SearchConfig:
             raise ValueError("q_cap must be >= 2")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not 0.0 < self.cooling_rate < 1.0:
-            raise ValueError("cooling_rate must be in (0, 1)")
-        if self.initial_temperature <= 0.0:
-            raise ValueError("initial_temperature must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
 
-def _condition_flags(matrix: ExponentMatrix, q_cap: int) -> tuple[bool, bool, bool]:
-    """(girth-12 at q_cap, element-wise order, row-2 gap)."""
-    no_short = CycleSpectrum(matrix).shortest_cycle(q_cap) is None
-    cond2 = all(a <= b for a, b in zip(matrix.entries[1], matrix.entries[2]))
-    p1_max, p2_max, p2_second = _row_extremes(matrix)
-    cond3 = (p2_max - p2_second) >= p1_max
-    return no_short, cond2, cond3
-
-
 def _cost(matrix: ExponentMatrix, cfg: SearchConfig) -> int:
-    flags = _condition_flags(matrix, cfg.q_cap)
-    violations = sum(1 for ok in flags if not ok)
-    return max(matrix.entries[2]) + _PENALTY_FACTOR * cfg.q_cap * violations
-
-
-def _gap_ok(p1s: list[int], p2s: list[int]) -> bool:
-    ordered = sorted(p2s, reverse=True)
-    second = ordered[1] if len(ordered) >= 2 else ordered[0]
-    return (ordered[0] - second) >= max(p1s)
+    report = _condition_report(matrix, cfg.q_cap, CycleSpectrum(matrix))
+    return report.p2_max + _PENALTY_FACTOR * cfg.q_cap * len(report.failures)
 
 
 def greedy_seed(cfg: SearchConfig) -> ExponentMatrix:
@@ -82,8 +61,7 @@ def greedy_seed(cfg: SearchConfig) -> ExponentMatrix:
 
     The output always keeps p1 <= p2 per column but may violate the row-2
     gap condition; it is a starting point for :func:`anneal`, not a
-    certified seed.  With ``greedy_enforce_gap`` the gap condition is also
-    enforced on every prefix.
+    certified seed.
     """
     p1s, p2s = [0], [0]
     for _ in range(1, cfg.cols):
@@ -94,8 +72,6 @@ def greedy_seed(cfg: SearchConfig) -> ExponentMatrix:
                     [[0] * (len(p1s) + 1), p1s + [a], p2s + [b]]
                 )
                 if CycleSpectrum(candidate).shortest_cycle(cfg.q_cap):
-                    continue
-                if cfg.greedy_enforce_gap and not _gap_ok(p1s + [a], p2s + [b]):
                     continue
                 placed = (a, b)
                 break
@@ -129,7 +105,7 @@ def _chain(start: ExponentMatrix, cfg: SearchConfig, stream: int) -> tuple[int, 
     current = [list(row) for row in start.entries]
     current_cost = _cost(start, cfg)
     best, best_cost = start, current_cost
-    temperature = cfg.initial_temperature
+    temperature = _INITIAL_TEMPERATURE
     for _ in range(cfg.max_steps):
         proposal = [list(row) for row in current]
         _perturb(proposal, cfg, rng)
@@ -140,11 +116,19 @@ def _chain(start: ExponentMatrix, cfg: SearchConfig, stream: int) -> tuple[int, 
             current, current_cost = proposal, candidate_cost
             if candidate_cost < best_cost:
                 best, best_cost = candidate, candidate_cost
-        temperature *= cfg.cooling_rate
+        temperature *= _COOLING_RATE
     return best_cost, best
 
 
 def _ranked_chain_results(start: ExponentMatrix, cfg: SearchConfig) -> list[tuple[int, int, ExponentMatrix]]:
+    if start.rows != 3:
+        raise ValueError("annealing expects a (3,L) matrix")
+    if not all(e == 0 for e in start.entries[0]):
+        raise ValueError("annealing expects a canonical start")
+    if cfg.cols < 2:
+        raise ValueError(
+            f"annealing needs at least 2 columns to perturb, got cols={cfg.cols}"
+        )
     results = []
     for i in range(cfg.restarts):
         cost, matrix = _chain(start, cfg, i)
@@ -161,10 +145,6 @@ def anneal(start: ExponentMatrix, cfg: SearchConfig) -> ExponentMatrix:
     restart index.  Never worse than the best state seen, which includes
     the start itself.
     """
-    if start.rows != 3:
-        raise ValueError("annealing expects a (3,L) matrix")
-    if not all(e == 0 for e in start.entries[0]):
-        raise ValueError("annealing expects a canonical start")
     return _ranked_chain_results(start, cfg)[0][2]
 
 
@@ -182,10 +162,10 @@ def find_certified_seed(cfg: SearchConfig) -> tuple[ExponentMatrix, int, Conditi
         if candidate.entries in seen:
             continue
         seen.add(candidate.entries)
-        no_short, cond2, cond3 = _condition_flags(candidate, cfg.q_cap)
-        if not (cond2 and cond3):
-            continue
         spectrum = CycleSpectrum(candidate)
+        flags = _condition_report(candidate, cfg.q_cap, spectrum)
+        if not (flags.cond2_elementwise and flags.cond3_gap):
+            continue
         for q in range(max(2, candidate.max_entry + 1), cfg.q_cap + 1):
             if spectrum.shortest_cycle(q) is None:
                 report = check_seed_conditions(candidate, q, spectrum=spectrum)

@@ -9,7 +9,7 @@ import pytest
 from qcgirth import import_alist, save_matrix
 from qcgirth.cli import run
 
-from conftest import REFERENCE_SEED
+from conftest import REFERENCE_SEED, REPO_ROOT
 
 
 @pytest.fixture
@@ -95,6 +95,17 @@ class TestExtend:
         assert outcome.exit_code == 0
         assert len(json.loads(outcome.stdout_payload)["members"]) == 4
 
+    @pytest.mark.parametrize("p_hi", [str(449 + 1_000_000), str(10 ** 20)])
+    @pytest.mark.parametrize("no_verify", [[], ["--no-verify"]])
+    def test_window_over_member_cap_is_budget_error(self, seed_path, p_hi, no_verify, capsys):
+        # a 10**20-member window used to loop for hours building QcCode objects
+        outcome = run(
+            ["extend", "--matrix", seed_path, "--q", "393", "--from", "449", "--to", p_hi]
+            + no_verify
+        )
+        assert outcome.exit_code == 3
+        assert "cap of 1000000" in capsys.readouterr().err
+
     def test_threads_flag_is_gone(self, seed_path):
         outcome = run(
             [
@@ -118,6 +129,20 @@ class TestSearch:
         assert payload["report"]["cond1_girth12"]
         assert payload["seed"]["rows"] == 3
         assert payload["Q"] <= 200
+
+    def test_stdout_matches_golden(self):
+        # written by the code before the condition path was folded
+        golden = json.loads((REPO_ROOT / "tests/data/search_stdout_golden.json").read_text())
+        assert len(golden) >= 5
+        for case in golden:
+            outcome = run(case["argv"].split())
+            assert outcome.exit_code == 0
+            assert outcome.stdout_payload == case["stdout"], case["argv"]
+
+    def test_single_column_is_input_error(self, capsys):
+        outcome = run(["search", "--cols", "1", "--q-cap", "50", "--seed", "0"])
+        assert outcome.exit_code == 2
+        assert "cols=1" in capsys.readouterr().err
 
     def test_budget_exhaustion_exit(self):
         outcome = run(
@@ -177,10 +202,11 @@ class TestSimulate:
         )
         assert outcome.exit_code == 2
 
-    @pytest.mark.parametrize("ebn0", ["-inf", "-3100", "3080"])
+    @pytest.mark.parametrize("ebn0", ["-inf", "-3100", "3080", "1e400"])
     def test_unusable_ebn0_is_input_error(self, seed_path, ebn0, capsys):
         # -inf used to divide by zero; -3100 overflowed the noise variance
-        # to inf and reported fer=0; 3080 gives infinite channel LLRs
+        # to inf and reported fer=0; 3080 gives infinite channel LLRs;
+        # 1e400 overflowed to the noiseless sentinel
         outcome = run(
             [
                 "simulate", "--matrix", seed_path, "--p", "29",
@@ -191,6 +217,18 @@ class TestSimulate:
         assert outcome.exit_code == 2
         assert outcome.stdout_payload == ""
         assert "error:" in capsys.readouterr().err
+
+
+    def test_literal_inf_is_noiseless(self, seed_path):
+        outcome = run(
+            [
+                "simulate", "--matrix", seed_path, "--p", "29",
+                "--ebn0", "inf, +INF", "--max-iter", "10",
+                "--min-error-frames", "2", "--frame-cap", "3", "--seed", "5",
+            ]
+        )
+        assert outcome.exit_code == 0
+        assert outcome.stdout_payload.split("\n")[1:] == ["inf,3,0,0,0.0,0.0,true"] * 2
 
 
 class TestErrorPaths:
@@ -213,6 +251,33 @@ class TestErrorPaths:
         path = tmp_path / "wrong.json"
         path.write_text(json.dumps({"rows": 1}))
         assert run(["girth", "--matrix", str(path), "--p", "5"]).exit_code == 2
+
+
+    @pytest.mark.parametrize(
+        "command, entry, size",
+        [
+            ("girth", 1, 10 ** 20),
+            ("girth", 1, 2 ** 59 + 1),
+            ("girth", 2 ** 59 + 1, 7),
+            ("verify", 2 ** 63, 2 ** 63 + 1),
+        ],
+    )
+    def test_values_past_the_limit_are_input_errors(self, tmp_path, command, entry, size, capsys):
+        # such values used to overflow int64 with an OverflowError (exit 1)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 2, "entries": [[0, 0], [0, 0], [0, entry]]}))
+        flag = "--p" if command == "girth" else "--q"
+        outcome = run([command, "--matrix", str(path), flag, str(size)])
+        assert outcome.exit_code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_values_at_the_limit_are_accepted(self, tmp_path):
+        path = tmp_path / "big.json"
+        limit = 2 ** 59
+        path.write_text(json.dumps({"rows": 3, "cols": 2, "entries": [[0, 0], [0, 0], [0, limit]]}))
+        outcome = run(["girth", "--matrix", str(path), "--p", str(limit)])
+        assert outcome.exit_code == 0
+        assert json.loads(outcome.stdout_payload)["girth"] == 4
 
 
 class TestConsoleEntry:

@@ -22,13 +22,24 @@ from qcgirth import (
     girth_oracle,
 )
 from qcgirth.girth import (
+    SEQUENCE_BUDGET,
     _alternating_count,
     _alternating_sequences,
-    _canonical_mask,
     _cycle_table,
+    _sequence_count,
 )
+from qcgirth.matrices import MAX_VALUE
 
 from conftest import random_canonical_matrix
+
+# 3 x 40: 2.7e9 candidate 10-cycles, far past the sequence budget.
+WIDE = ExponentMatrix.from_rows([[0] * 40, list(range(40)), list(range(0, 80, 2))])
+
+
+def _candidate(j, l, k, i):
+    """(row_seq, col_seq) of candidate *i* in the J x L table for 2k-cycles."""
+    terms = [int(t) for t in _cycle_table(j, l, k)[:, i]]
+    return tuple(t // (j * l) for t in terms), tuple(t % l for t in terms)
 
 
 def _girth_every_root(matrix, p):
@@ -117,9 +128,14 @@ class TestFindCycle:
         with pytest.raises(ValueError):
             find_cycle(ref_seed, 1, 4)
 
-    def test_budget_error(self, ref_seed):
+    def test_rejects_modulus_past_the_value_limit(self, ref_seed):
+        assert find_cycle(ref_seed, MAX_VALUE, 4) is None
+        with pytest.raises(ValueError, match="modulus"):
+            find_cycle(ref_seed, MAX_VALUE + 1, 4)
+
+    def test_budget_error(self):
         with pytest.raises(BudgetError, match="oracle"):
-            find_cycle(ref_seed, 393, 10, max_sequences=10)
+            find_cycle(WIDE, 393, 10)
 
     def test_witnesses_self_check_on_random_matrices(self):
         rng = random.Random(3)
@@ -238,8 +254,9 @@ class TestGirthOracle:
         assert girth_oracle(m, 5) is None
 
     def test_budget_error(self, ref_seed):
-        with pytest.raises(BudgetError):
-            girth_oracle(ref_seed, 393, max_edges=100)
+        # 3 * 6 * 6000 = 108,000 edges, over the 100,000-edge budget
+        with pytest.raises(BudgetError, match="100000"):
+            girth_oracle(ref_seed, 6000)
 
 
 class TestAgreement:
@@ -274,21 +291,23 @@ class TestEnumerationStructure:
         # odd cycle, which has no proper 2-coloring.  Verified structurally
         # on the enumeration tables used by the checker.
         assert _cycle_table(2, 6, k) is None
-        table = _cycle_table(3, 6, k)
-        assert all(len(set(map(int, row))) >= 3 for row in table.rows)
+        row_seqs = _cycle_table(3, 6, k) // 18  # r_i of each term
+        assert all(len(set(map(int, rows))) >= 3 for rows in row_seqs.T)
 
-    def test_canonical_mask_fallback_agrees_with_packed_keys(self):
-        import numpy as np
-
-        for j, l, k in ((3, 4, 3), (2, 3, 4), (3, 3, 2)):
-            rows = np.array(_alternating_sequences(j, k), dtype=np.int64)
-            cols = np.array(_alternating_sequences(l, k), dtype=np.int64)
-            full_r = rows[np.repeat(np.arange(len(rows)), len(cols))]
-            full_c = cols[np.tile(np.arange(len(cols)), len(rows))]
-            packed = _canonical_mask(full_r, full_c, k, base=max(j, l))
-            # an oversized base forces the plain-tuple orbit path
-            fallback = _canonical_mask(full_r, full_c, k, base=2 ** 62)
-            assert (packed == fallback).all()
+    def test_packed_orbit_keys_fit_int64_for_every_admitted_shape(self):
+        # _canonical_mask packs 2k digits of base max(J, L) into one int64;
+        # every shape within the sequence budget must fit below 2**62
+        for k in range(2, 7):
+            sizes = [n for n in range(2, 5000) if _alternating_count(n, k) > 0]
+            smallest = sizes[0]
+            assert _sequence_count(sizes[-1], smallest, k) > SEQUENCE_BUDGET
+            for j in sizes:
+                if _sequence_count(j, smallest, k) > SEQUENCE_BUDGET:
+                    break
+                for l in sizes:
+                    if _sequence_count(j, l, k) > SEQUENCE_BUDGET:
+                        break
+                    assert max(j, l) ** (2 * k) < 2 ** 62, (j, l, k)
 
 
 class TestGirthReport:
@@ -320,18 +339,36 @@ class TestExponentSums:
         assert top == 448
 
     def test_sums_match_the_witness_evaluation(self, ref_seed):
-        table = _cycle_table(3, 6, 3)
         sums = exponent_sums(ref_seed, 6)
         for i in range(0, len(sums), 97):
-            rows, cols = tuple(map(int, table.rows[i])), tuple(map(int, table.cols[i]))
+            rows, cols = _candidate(3, 6, 3, i)
             assert CycleWitness(6, rows, cols, 2).exponent_sum(ref_seed) == sums[i]
+
+    def test_sums_are_exact_at_the_value_limit(self):
+        # entries at MAX_VALUE: the int64 sums match Python integers
+        rng = random.Random(59)
+        m = ExponentMatrix.from_rows(
+            [[rng.choice((0, MAX_VALUE)) for _ in range(4)] for _ in range(3)]
+        )
+        for length in (4, 6, 8, 10, 12):
+            sums = exponent_sums(m, length)
+            for i in range(0, len(sums), 11):
+                rows, cols = _candidate(3, 4, length // 2, i)
+                witness = CycleWitness(length, rows, cols, 2)
+                assert witness.exponent_sum(m) == int(sums[i])
+
+    def test_spectrum_rejects_size_past_the_value_limit(self, ref_seed):
+        spectrum = CycleSpectrum(ref_seed)
+        assert spectrum.shortest_cycle(MAX_VALUE) is None
+        with pytest.raises(ValueError, match="modulus"):
+            spectrum.shortest_cycle(MAX_VALUE + 1)
 
     def test_no_candidates_is_empty(self):
         assert exponent_sums(ExponentMatrix.from_rows([[0, 1, 2]]), 4).size == 0
 
-    def test_budget_error(self, ref_seed):
+    def test_budget_error(self):
         with pytest.raises(BudgetError, match="oracle"):
-            exponent_sums(ref_seed, 10, max_sequences=10)
+            exponent_sums(WIDE, 10)
 
 
 def _matrices(rows, cols, max_entry):

@@ -17,6 +17,8 @@ from qcgirth import (
     save_matrix,
 )
 
+from qcgirth.matrices import MAX_VALUE
+
 from conftest import random_canonical_matrix
 
 
@@ -43,6 +45,11 @@ class TestExponentMatrix:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             ExponentMatrix(((0, 0.5), (0, 1)))
+
+    def test_entry_limit(self):
+        assert ExponentMatrix(((0, MAX_VALUE),)).max_entry == MAX_VALUE
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            ExponentMatrix(((0, MAX_VALUE + 1),))
 
 
 class TestCanonicalCheck:
@@ -78,6 +85,11 @@ class TestQcCode:
     def test_rejects_small_p(self, ref_seed, p):
         with pytest.raises(ValueError):
             QcCode(ref_seed, p)
+
+    def test_size_limit(self, ref_seed):
+        assert QcCode(ref_seed, MAX_VALUE).block_length == 6 * MAX_VALUE
+        with pytest.raises(ValueError, match="circulant size"):
+            QcCode(ref_seed, MAX_VALUE + 1)
 
 
 class TestSparseBinaryMatrix:

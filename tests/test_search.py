@@ -15,7 +15,7 @@ from qcgirth import (
     girth_oracle,
     greedy_seed,
 )
-from qcgirth.search import _condition_flags, _cost
+from qcgirth.search import _cost
 
 
 class TestSearchConfig:
@@ -25,9 +25,6 @@ class TestSearchConfig:
             {"cols": 0, "q_cap": 10},
             {"cols": 3, "q_cap": 1},
             {"cols": 3, "q_cap": 10, "max_steps": 0},
-            {"cols": 3, "q_cap": 10, "cooling_rate": 1.0},
-            {"cols": 3, "q_cap": 10, "cooling_rate": 0.0},
-            {"cols": 3, "q_cap": 10, "initial_temperature": 0.0},
             {"cols": 3, "q_cap": 10, "restarts": 0},
         ],
     )
@@ -72,12 +69,6 @@ class TestGreedySeed:
         with pytest.raises(SearchBudgetError, match="q_cap too small"):
             greedy_seed(SearchConfig(cols=3, q_cap=2))
 
-    def test_gap_constrained_mode(self):
-        cfg = SearchConfig(cols=4, q_cap=393, greedy_enforce_gap=True)
-        m = greedy_seed(cfg)
-        flags = _condition_flags(m, cfg.q_cap)
-        assert flags == (True, True, True)
-
 
 class TestAnneal:
     def test_never_worse_than_feasible_start(self, ref_seed):
@@ -100,6 +91,11 @@ class TestAnneal:
         cfg = SearchConfig(cols=2, q_cap=10)
         with pytest.raises(ValueError, match="canonical"):
             anneal(ExponentMatrix.from_rows([[0, 1], [0, 2], [0, 3]]), cfg)
+
+    def test_rejects_single_column(self):
+        cfg = SearchConfig(cols=1, q_cap=10)
+        with pytest.raises(ValueError, match="cols=1"):
+            anneal(greedy_seed(cfg), cfg)
 
 
 class TestFindCertifiedSeed:
