@@ -2,6 +2,16 @@
 
 Flooding schedule with the exact tanh check-node rule; variable-to-check
 messages are clamped to +/-30 before the tanh to keep the products finite.
+
+Messages use a fixed-degree layout: ``cols[k, r]`` (dc x M) is the column of
+check r's k-th edge, so row sums broadcast back and the parity test is one
+XOR-reduce; ``gather[k, c]`` (dv x N) is the flat slot of column c's k-th
+edge.  Sums add slot 0, 1, ... in turn from 0.0, as np.bincount does over a
+flat edge list, so the arithmetic matches such a decoder bit for bit.  A QC
+code has dc = L and dv = J and its layout comes from the exponents.  Other
+matrices pad short rows with column N (tanh forced to 1.0) and short columns
+with a slot that stays 0.0.
+
 Simulation transmits the all-zero codeword over BPSK (bit 0 -> +1) plus
 Gaussian noise with variance 1 / (2 * rate * 10^(ebn0_db/10)), which is
 valid for linear codes on output-symmetric channels and removes any need
@@ -15,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .matrices import QcCode, SparseBinaryMatrix, expand
+from .matrices import QcCode, SparseBinaryMatrix
 
 LLR_CLAMP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
@@ -107,57 +118,79 @@ def syndrome(matrix: SparseBinaryMatrix, word) -> np.ndarray:
     return out
 
 
-class _SpContext:
-    """Edge arrays shared across frames for one parity-check matrix."""
-
-    def __init__(self, matrix: SparseBinaryMatrix):
-        rows: list[int] = []
-        cols: list[int] = []
-        for r, support in enumerate(matrix.row_supports):
-            rows.extend([r] * len(support))
-            cols.extend(support)
-        self.row_of_edge = np.asarray(rows, dtype=np.int64)
-        self.col_of_edge = np.asarray(cols, dtype=np.int64)
-        self.n_rows = matrix.n_rows
-        self.n_cols = matrix.n_cols
+def _qc_layout(code: QcCode) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, gather) of the expansion: check u*P + r meets column v*P + (r + E[u][v]) mod P."""
+    p, j, l = code.circulant_size, code.exponents.rows, code.exponents.cols
+    s = np.array([[e % p for e in row] for row in code.exponents.entries], dtype=np.int64)
+    local, block = np.arange(p), np.arange(l)[:, None, None]
+    cols = block * p + (local + s.T[:, :, None]) % p
+    checks = np.arange(j)[:, None, None] * p + (local - s[:, :, None]) % p
+    gather = block.reshape(1, l, 1) * (j * p) + checks
+    return cols.reshape(l, j * p), gather.reshape(j, l * p)
 
 
-def _sp_decode(ctx: _SpContext, llr: np.ndarray, max_iter: int) -> DecodeResult:
-    row_e, col_e = ctx.row_of_edge, ctx.col_of_edge
-    m, n = ctx.n_rows, ctx.n_cols
-    v2c = np.clip(llr[col_e], -LLR_CLAMP, LLR_CLAMP)
-    hard = np.zeros(n, dtype=np.uint8)
+def _layout(matrix: SparseBinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, gather) of any matrix, padded to its largest row and column degree."""
+    m, n = matrix.n_rows, matrix.n_cols
+    padded = zip_longest(*matrix.row_supports, fillvalue=n)
+    cols = np.array(list(padded), dtype=np.int64).reshape(-1, m)
+    by_col = np.argsort((cols * m + np.arange(m)).ravel())
+    col_deg = np.bincount(cols.ravel(), minlength=n + 1)[:n]
+    slots = by_col[: int(col_deg.sum())]
+    col = cols.ravel()[slots]
+    gather = np.full((int(col_deg.max(initial=0)), n), cols.size, dtype=np.int64)
+    gather[np.arange(slots.size) - (np.cumsum(col_deg) - col_deg)[col], col] = slots
+    return cols, gather
+
+
+def _sum_in_order(slots: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 from 0.0 in slot order, as np.bincount adds (ndarray.sum pairs)."""
+    acc = np.zeros(slots.shape[1])
+    for slot in slots:
+        acc += slot
+    return acc
+
+
+def _sp_decode(
+    cols: np.ndarray, gather: np.ndarray, llr: np.ndarray, max_iter: int
+) -> DecodeResult:
+    n = llr.shape[0]
+    pad = np.flatnonzero(cols == n)
+    # total[n] belongs to the padding column: +inf is never a negative bit.
+    total = np.append(llr, np.inf)
+    v2c = np.clip(total[cols], -LLR_CLAMP, LLR_CLAMP)
+    # The slot after the last edge pads short columns: it stays 0.0.
+    c2v_slots = np.zeros(cols.size + 1)
+    c2v = c2v_slots[:-1].reshape(cols.shape)
     for iteration in range(1, max_iter + 1):
         # Check update: leave-one-out tanh products via log magnitudes,
         # with explicit zero tracking so exact-zero messages stay exact.
         t = np.tanh(0.5 * v2c)
-        is_zero = t == 0.0
-        log_mag = np.log(np.where(is_zero, 1.0, np.abs(t)))
-        is_neg = t < 0.0
-        row_log = np.bincount(row_e, weights=log_mag, minlength=m)
-        row_neg = np.bincount(row_e, weights=is_neg, minlength=m)
-        row_zero = np.bincount(row_e, weights=is_zero, minlength=m)
-        zero_excl = row_zero[row_e] - is_zero
-        sign_excl = 1.0 - 2.0 * ((row_neg[row_e] - is_neg) % 2)
-        prod_excl = np.where(
-            zero_excl > 0, 0.0, sign_excl * np.exp(row_log[row_e] - log_mag)
-        )
-        c2v = 2.0 * np.arctanh(np.clip(prod_excl, -_ATANH_LIMIT, _ATANH_LIMIT))
+        t.flat[pad] = 1.0
+        prod = np.abs(t)
+        is_zero = None if t.all() else t == 0.0
+        if is_zero is not None:
+            prod[is_zero] = 1.0
+            t[is_zero] = 0.0
+        log_mag = np.log(prod, out=prod)
+        row_sign = 1.0 - 2.0 * np.bitwise_xor.reduce(t < 0.0, axis=0)
+        np.exp(np.subtract(_sum_in_order(log_mag), log_mag, out=prod), out=prod)
+        # t * row_sign has the sign of the product over the other edges.
+        np.copysign(prod, np.multiply(t, row_sign, out=t), out=prod)
+        if is_zero is not None:
+            prod[np.add.reduce(is_zero, axis=0) - is_zero > 0] = 0.0
+        np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT, out=prod)
+        np.multiply(2.0, np.arctanh(prod, out=prod), out=c2v)
 
-        # Variable update and hard decision.
-        total = llr + np.bincount(col_e, weights=c2v, minlength=n)
-        hard = (total < 0.0).astype(np.uint8)
-
+        # Variable update; the parity test reads the hard decisions at the edges.
+        np.add(llr, _sum_in_order(c2v_slots[gather]), out=total[:n])
+        np.take(total, cols, out=v2c)
         # Ties carry no information; their syndrome is never validated.
-        if not (total == 0.0).any():
-            parity = np.bincount(
-                row_e, weights=hard[col_e].astype(np.float64), minlength=m
-            ) % 2
-            if not parity.any():
-                return DecodeResult(hard, True, iteration)
-
-        v2c = np.clip(total[col_e] - c2v, -LLR_CLAMP, LLR_CLAMP)
-    return DecodeResult(hard, False, max_iter)
+        tied = (total[:n] == 0.0).any()
+        if not tied and not np.bitwise_xor.reduce(v2c < 0.0, axis=0).any():
+            return DecodeResult((total[:n] < 0.0).astype(np.uint8), True, iteration)
+        np.clip(np.subtract(v2c, c2v, out=v2c), -LLR_CLAMP, LLR_CLAMP, out=v2c)
+    return DecodeResult((total[:n] < 0.0).astype(np.uint8), False, max_iter)
 
 
 def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
@@ -175,7 +208,7 @@ def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
         )
     if not np.isfinite(values).all():
         raise ValueError("LLR input must be finite")
-    return _sp_decode(_SpContext(matrix), values, max_iter)
+    return _sp_decode(*_layout(matrix), values, max_iter)
 
 
 def monte_carlo(
@@ -191,11 +224,10 @@ def monte_carlo(
     *frame_cap* frames total; a frame error is any nonzero decoded bit.
     Deterministic for fixed inputs.
     """
-    if min_error_frames < 1 or frame_cap < 1:
-        raise ValueError("min_error_frames and frame_cap must be >= 1")
-    h = expand(code)
-    ctx = _SpContext(h)
-    n = h.n_cols
+    if max_iter < 1 or min_error_frames < 1 or frame_cap < 1:
+        raise ValueError("max_iter, min_error_frames and frame_cap must be >= 1")
+    cols, gather = _qc_layout(code)
+    n = code.block_length
     sigma2 = channel.noise_variance
     frames = bit_errors = frame_errors = 0
     while frames < frame_cap and frame_errors < min_error_frames:
@@ -204,10 +236,11 @@ def monte_carlo(
             llr = np.full(n, 2.0 * LLR_CLAMP)
         else:
             received = 1.0 + rng.normal(0.0, math.sqrt(sigma2), n)
-            llr = 2.0 * received / sigma2
+            with np.errstate(over="ignore"):
+                llr = 2.0 * received / sigma2
             if not np.isfinite(llr).all():
                 raise ValueError(f"channel LLRs at {channel.ebn0_db} dB are not finite")
-        result = _sp_decode(ctx, llr, max_iter)
+        result = _sp_decode(cols, gather, llr, max_iter)
         frames += 1
         wrong = int(result.decoded.sum())
         if wrong:

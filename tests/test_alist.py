@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcgirth import QcCode, SparseBinaryMatrix, expand, export_alist, import_alist
 
@@ -37,16 +38,22 @@ def test_round_trip_reference_expansion(ref_seed):
     assert export_alist(import_alist(text)) == text
 
 
-def test_round_trip_random_matrices():
-    rng = random.Random(41)
-    for _ in range(25):
-        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 9)
-        supports = tuple(
-            tuple(sorted(rng.sample(range(n_cols), rng.randint(0, n_cols))))
-            for _ in range(n_rows)
-        )
-        m = SparseBinaryMatrix(n_rows, n_cols, supports)
-        assert import_alist(export_alist(m)) == m
+@st.composite
+def _sparse_matrices(draw):
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    supports = draw(
+        st.lists(st.sets(st.integers(0, n_cols - 1)), min_size=n_rows, max_size=n_rows)
+    )
+    return SparseBinaryMatrix(n_rows, n_cols, tuple(tuple(sorted(s)) for s in supports))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices())
+def test_round_trip_random_matrices(m):
+    # irregular row and column weights, empty rows and columns included
+    text = export_alist(m)
+    assert import_alist(text) == m
+    assert export_alist(import_alist(text)) == text
 
 
 def test_round_trip_random_expansions():

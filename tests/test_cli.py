@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qcgirth
 from qcgirth import import_alist, save_matrix
 from qcgirth.cli import run
 
@@ -219,6 +222,42 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_non_positive_max_iter_is_input_error(self, seed_path, max_iter, capsys):
+        # no iteration used to leave every frame at the all-zero word: fer=0
+        outcome = run(
+            [
+                "simulate", "--matrix", seed_path, "--p", "29", "--ebn0", "0",
+                "--max-iter", max_iter, "--min-error-frames", "2", "--frame-cap", "3",
+                "--seed", "1",
+            ]
+        )
+        assert outcome.exit_code == 2
+        assert "max_iter" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_channel_llrs_exit_without_warning(self, seed_path, capsys):
+        # 2 / sigma^2 overflows at 3080 dB; numpy used to warn before the error
+        outcome = run(
+            [
+                "simulate", "--matrix", seed_path, "--p", "29", "--ebn0", "3080",
+                "--max-iter", "10", "--min-error-frames", "2", "--frame-cap", "5",
+                "--seed", "5",
+            ]
+        )
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err.startswith("error: channel LLRs at 3080.0 dB")
+
+    def test_stdout_matches_golden(self, monkeypatch):
+        # written by the bincount decoder before the fixed-degree layout
+        golden = json.loads((REPO_ROOT / "tests/data/simulate_stdout_golden.json").read_text())
+        assert len(golden) >= 5
+        monkeypatch.chdir(REPO_ROOT)
+        for case in golden:
+            outcome = run(case["argv"].split())
+            assert outcome.exit_code == 0
+            assert outcome.stdout_payload == case["stdout"], case["argv"]
+
     def test_literal_inf_is_noiseless(self, seed_path):
         outcome = run(
             [
@@ -284,6 +323,13 @@ class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "seed.json"
         save_matrix(path, REFERENCE_SEED)
+        # The child must import the same package as this test, installed or not.
+        package_root = str(Path(qcgirth.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""),
+        )
         proc = subprocess.run(
             [
                 sys.executable, "-m", "qcgirth.cli",
@@ -291,6 +337,7 @@ class TestConsoleEntry:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["girth"] == 12

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcgirth import (
     CSV_HEADER,
@@ -18,11 +19,100 @@ from qcgirth import (
     summaries_to_csv,
     syndrome,
 )
+from qcgirth.decoder import (
+    _ATANH_LIMIT,
+    LLR_CLAMP,
+    DecodeResult,
+    _layout,
+    _qc_layout,
+    _sp_decode,
+    _sum_in_order,
+)
 
 
 TOY_H = SparseBinaryMatrix(
     3, 6, ((0, 1, 2), (2, 3, 4), (0, 4, 5))
 )
+
+
+def _reference_decode(matrix, llr, max_iter):
+    """Reference sum-product decoder on flat edge lists with np.bincount.
+
+    The same schedule, clamps, tie rule and stopping rule as decode_sp,
+    without its fixed-degree layout.
+    """
+    rows, cols = [], []
+    for r, support in enumerate(matrix.row_supports):
+        rows.extend([r] * len(support))
+        cols.extend(support)
+    row_e, col_e = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    m, n = matrix.n_rows, matrix.n_cols
+    v2c = np.clip(llr[col_e], -LLR_CLAMP, LLR_CLAMP)
+    hard = np.zeros(n, dtype=np.uint8)
+    for iteration in range(1, max_iter + 1):
+        t = np.tanh(0.5 * v2c)
+        is_zero = t == 0.0
+        log_mag = np.log(np.where(is_zero, 1.0, np.abs(t)))
+        is_neg = t < 0.0
+        row_log = np.bincount(row_e, weights=log_mag, minlength=m)
+        row_neg = np.bincount(row_e, weights=is_neg, minlength=m)
+        row_zero = np.bincount(row_e, weights=is_zero, minlength=m)
+        zero_excl = row_zero[row_e] - is_zero
+        sign_excl = 1.0 - 2.0 * ((row_neg[row_e] - is_neg) % 2)
+        prod_excl = np.where(
+            zero_excl > 0, 0.0, sign_excl * np.exp(row_log[row_e] - log_mag)
+        )
+        c2v = 2.0 * np.arctanh(np.clip(prod_excl, -_ATANH_LIMIT, _ATANH_LIMIT))
+        total = llr + np.bincount(col_e, weights=c2v, minlength=n)
+        hard = (total < 0.0).astype(np.uint8)
+        if not (total == 0.0).any():
+            parity = np.bincount(
+                row_e, weights=hard[col_e].astype(np.float64), minlength=m
+            ) % 2
+            if not parity.any():
+                return DecodeResult(hard, True, iteration)
+        v2c = np.clip(total[col_e] - c2v, -LLR_CLAMP, LLR_CLAMP)
+    return DecodeResult(hard, False, max_iter)
+
+
+# LLRs that exercise the clamp, exact-zero messages, signed zeros,
+# subnormals (whose half underflows to zero) and ties.
+_SPECIAL_LLRS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 30.0, -30.0, 45.0, -1e3)
+
+
+@st.composite
+def _llrs(draw, n):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mean, scale = draw(st.sampled_from([0.0, 1.0, 3.0])), draw(st.sampled_from([1.0, 4.0, 40.0]))
+    llr = rng.normal(mean, scale, n)
+    for value in draw(st.lists(st.sampled_from(_SPECIAL_LLRS), max_size=4)):
+        llr[rng.random(n) < draw(st.sampled_from([0.02, 0.3, 1.0]))] = value
+    return llr
+
+
+@st.composite
+def _qc_codes(draw):
+    j, l, p = draw(st.integers(1, 4)), draw(st.integers(1, 10)), draw(st.integers(2, 60))
+    row = st.lists(st.integers(0, 200), min_size=l, max_size=l)
+    rows = draw(st.lists(row, min_size=j, max_size=j))
+    return QcCode(ExponentMatrix.from_rows(rows), p)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    support = st.sets(st.integers(0, n_cols - 1))
+    supports = draw(st.lists(support, min_size=n_rows, max_size=n_rows))
+    return SparseBinaryMatrix(n_rows, n_cols, tuple(tuple(sorted(s)) for s in supports))
+
+
+def _same(a, b):
+    return (
+        a.decoded.dtype == b.decoded.dtype
+        and np.array_equal(a.decoded, b.decoded)
+        and a.converged == b.converged
+        and a.iterations_used == b.iterations_used
+    )
 
 
 class TestSyndrome:
@@ -108,6 +198,70 @@ class TestDecodeSp:
         assert converged_seen > 0
 
 
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(code=_qc_codes(), data=st.data(), max_iter=st.integers(1, 25))
+    def test_regular_qc_codes(self, code, data, max_iter):
+        h = expand(code)
+        llr = data.draw(_llrs(h.n_cols))
+        want = _reference_decode(h, llr, max_iter)
+        assert _same(decode_sp(h, llr, max_iter), want)
+        # monte_carlo's layout, built from the exponents, decodes the same
+        assert _same(_sp_decode(*_qc_layout(code), llr, max_iter), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        matrix=st.one_of(st.just(TOY_H), _sparse_matrices()),
+        data=st.data(),
+        max_iter=st.integers(1, 25),
+    )
+    def test_irregular_matrices(self, matrix, data, max_iter):
+        llr = data.draw(_llrs(matrix.n_cols))
+        want = _reference_decode(matrix, llr, max_iter)
+        assert _same(decode_sp(matrix, llr, max_iter), want)
+
+    @pytest.mark.parametrize("ebn0", [1.0, 3.0])
+    def test_noisy_frames_on_the_reference_seed(self, ref_seed, ebn0):
+        h = expand(QcCode(ref_seed, 449))
+        sigma2 = ChannelParams(ebn0, 0.5, 0).noise_variance
+        for frame in range(6):
+            rng = np.random.default_rng([5, frame])
+            llr = 2.0 * (1.0 + rng.normal(0.0, math.sqrt(sigma2), h.n_cols)) / sigma2
+            assert _same(decode_sp(h, llr, 80), _reference_decode(h, llr, 80))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        degree=st.integers(0, 24),
+        n_rows=st.sampled_from([1, 2, 7, 300]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_slot_sums_are_bincount_sums(self, degree, n_rows, seed):
+        # ndarray.sum adds a single row of 16 or more slots pairwise, not in order
+        rng = np.random.default_rng(seed)
+        shape = (degree, n_rows)
+        slots = rng.normal(size=shape) * 10.0 ** rng.integers(-9, 9, shape)
+        want = np.bincount(
+            np.tile(np.arange(n_rows), degree), weights=slots.ravel(), minlength=n_rows
+        )
+        assert np.array_equal(_sum_in_order(slots).view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(code=_qc_codes())
+    def test_layout_from_exponents_matches_expansion(self, code):
+        for got, want in zip(_qc_layout(code), _layout(expand(code))):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        matrix=st.one_of(_sparse_matrices(), _qc_codes().map(expand)),
+        data=st.data(),
+        max_iter=st.integers(1, 25),
+    )
+    def test_deterministic(self, matrix, data, max_iter):
+        llr = data.draw(_llrs(matrix.n_cols))
+        assert _same(decode_sp(matrix, llr, max_iter), decode_sp(matrix, llr.copy(), max_iter))
+
+
 class TestChannelParams:
     def test_noise_variance(self):
         channel = ChannelParams(ebn0_db=3.0, rate=0.5, rng_seed=1)
@@ -143,6 +297,7 @@ class TestMonteCarlo:
         assert summary.frames == 20
         assert summary.cap_hit
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_non_finite_channel_llrs(self, ref_seed):
         # sigma^2 = 1e-308 is finite and positive, but 2 / sigma^2 is not
         channel = ChannelParams(3080.0, 0.5, 1)
