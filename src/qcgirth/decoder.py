@@ -29,9 +29,11 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .errors import BudgetError
 from .matrices import QcCode, SparseBinaryMatrix
 
 LLR_CLAMP = 30.0
+MAX_SIMULATE_EDGES = 5_000_000  # J * L * P edges one monte_carlo call lays out
 _ATANH_LIMIT = 1.0 - 1e-15
 
 CSV_HEADER = "ebn0_db,frames,bit_errors,frame_errors,ber,fer,cap_hit"
@@ -222,10 +224,16 @@ def monte_carlo(
 
     Runs until *min_error_frames* frames decoded with errors or
     *frame_cap* frames total; a frame error is any nonzero decoded bit.
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs.  Raises BudgetError, before allocating
+    anything, for codes with more than MAX_SIMULATE_EDGES edges.
     """
     if max_iter < 1 or min_error_frames < 1 or frame_cap < 1:
         raise ValueError("max_iter, min_error_frames and frame_cap must be >= 1")
+    n_edges = code.exponents.rows * code.exponents.cols * code.circulant_size
+    if n_edges > MAX_SIMULATE_EDGES:
+        raise BudgetError(
+            f"code has {n_edges} edges, over the simulation budget of {MAX_SIMULATE_EDGES}"
+        )
     cols, gather = _qc_layout(code)
     n = code.block_length
     sigma2 = channel.noise_variance

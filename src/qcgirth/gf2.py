@@ -8,18 +8,18 @@ from .matrices import SparseBinaryMatrix
 MAX_RANK_BITS = 10_000_000
 
 
-def gf2_rank(matrix: SparseBinaryMatrix, *, max_bits: int = MAX_RANK_BITS) -> int:
+def gf2_rank(matrix: SparseBinaryMatrix) -> int:
     """Rank of *matrix* over GF(2); code dimension is k = n_cols - rank.
 
     Rows are Python int bitsets reduced against a pivot table keyed by the
     lowest set bit.  Refuses inputs whose dense size n_rows * n_cols exceeds
-    *max_bits* (desk-scale bound, predictable memory).
+    MAX_RANK_BITS (desk-scale bound, predictable memory).
     """
     total_bits = matrix.n_rows * matrix.n_cols
-    if total_bits > max_bits:
+    if total_bits > MAX_RANK_BITS:
         raise BudgetError(
             f"rank computation refused: {total_bits} bits exceeds the "
-            f"{max_bits}-bit budget"
+            f"{MAX_RANK_BITS}-bit budget"
         )
     pivots: dict[int, int] = {}
     rank = 0

@@ -9,12 +9,18 @@ the expanded Tanner graph corresponds to row/column index sequences
 
 vanishes.  Enumerating all such sequences for 2k in {4, 6, 8, 10} decides
 whether the girth is below 12; column-weight-three matrices with at least
-three columns always contain 12-cycles (take two rows u, w and columns
-v1, v2, v3 in the pattern v1 v2 v3 v1 v2 v3: the sum telescopes to zero for
-every P), so "no cycle through length 10" pins the girth to exactly 12 for
-those shapes.  The unreduced sum decides every P at once: the candidate
-closes at P exactly when P divides it (:func:`exponent_sums`,
-:class:`CycleSpectrum`).
+two columns always contain 12-cycles (rows u w u w u w with columns
+v1 v2 v3 v1 v2 v3, or rows 0 1 2 0 1 2 with columns v1 v2 v1 v2 v1 v2: either
+sum telescopes to zero for every P), so "no cycle through length 10" pins
+the girth to exactly 12 for those shapes.  The unreduced sum decides every
+P at once: the candidate closes at P exactly when P divides it
+(:func:`exponent_sums`, :class:`CycleSpectrum`).
+
+Each cycle is enumerated once, as the lexicographically smallest
+(row_seq, col_seq) among its k rotations and k reflections.  A pair is that
+smallest exactly when row_seq is the smallest of its own orbit and col_seq
+is no larger than its image under each symmetry that fixes row_seq, so the
+tables are built one row sequence at a time (:func:`_cycle_table`).
 
 The oracle path expands the matrix, builds the bipartite Tanner graph and
 computes the exact girth by BFS.  It shares nothing with the enumeration
@@ -154,63 +160,44 @@ def _alternating_sequences(symbols: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _canonical_mask(full_r: np.ndarray, full_c: np.ndarray, k: int, base: int) -> np.ndarray:
-    """Keep one representative per cycle orbit (rotations and reflection).
-
-    Rotating (row_seq, col_seq) jointly or traversing the cycle backwards
-    (rows (r_0, r_{k-1}, .., r_1), columns reversed) names the same cycle;
-    the kept representative is the lexicographically smallest tuple.  The
-    tuple is packed into one int64 key, which fits for every shape the
-    sequence budget admits (base ** (2k) < 2 ** 62).
-    """
-    def key_of(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        key = np.zeros(len(r), dtype=np.int64)
-        for i in range(k):
-            key = key * base + r[:, i]
-        for i in range(k):
-            key = key * base + c[:, i]
-        return key
-
-    orig = key_of(full_r, full_c)
-    best = orig.copy()
-    for t in range(k):
-        if t:
-            idx = [(i + t) % k for i in range(k)]
-            np.minimum(best, key_of(full_r[:, idx], full_c[:, idx]), out=best)
-        ridx = [(t - i) % k for i in range(k)]
-        cidx = [(t - 1 - i) % k for i in range(k)]
-        np.minimum(best, key_of(full_r[:, ridx], full_c[:, cidx]), out=best)
-    return orig == best
-
-
 @lru_cache(maxsize=None)
 def _cycle_table(j: int, l: int, k: int) -> np.ndarray | None:
     """Enumeration table for 2k-cycles of a J x L exponent matrix.
 
-    A (k, n) array with one column per canonical candidate.  Entry i is the
-    flat index (r_i * J + r_{i+1}) * L + c_i of the term
-    E[r_i][c_i] - E[r_{i+1}][c_i] in the J x J x L grid of column
-    differences, so a candidate's exponent sum adds k gathered differences.
-    Returns None when no valid sequence exists (fewer than two rows or
-    columns, or odd k with fewer than three of either).
+    A (k, n) array with one column per canonical candidate, in
+    (row_seq, col_seq) order.  Entry i is the flat index
+    (r_i * J + r_{i+1}) * L + c_i of the term E[r_i][c_i] - E[r_{i+1}][c_i]
+    in the J x J x L grid of column differences, so a candidate's exponent
+    sum adds k gathered differences.  Returns None when no valid sequence
+    exists (fewer than two rows or columns, or odd k with fewer than three
+    of either).
     """
     row_seqs = _alternating_sequences(j, k)
-    if not row_seqs:
-        return None
     col_seqs = _alternating_sequences(l, k)
-    if not col_seqs:
+    if not row_seqs or not col_seqs:
         return None
-    rows = np.array(row_seqs, dtype=np.int64)
-    cols = np.array(col_seqs, dtype=np.int64)
-    n_r, n_c = len(rows), len(cols)
-    full_r = rows[np.repeat(np.arange(n_r), n_c)]
-    full_c = cols[np.tile(np.arange(n_c), n_r)]
-
-    keep = _canonical_mask(full_r, full_c, k, base=max(j, l))
-    full_r = full_r[keep]
-    full_c = full_c[keep]
-    terms = (full_r * j + np.roll(full_r, -1, axis=1)) * l + full_c
-    return np.ascontiguousarray(terms.T)
+    cols = np.array(col_seqs, dtype=np.int64).T.copy()
+    digits = l ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    key = digits @ cols  # orders column sequences lexicographically
+    # (row, column) index maps of the k rotations, identity first, and of the
+    # k reflections: rows (r_t, r_{t-1}, ..) with columns (c_{t-1}, c_{t-2}, ..).
+    shifts = [[(i + t) % k for i in range(k)] for t in range(k)]
+    symmetries = [(idx, idx) for idx in shifts] + [
+        ([(t - i) % k for i in range(k)], [(t - 1 - i) % k for i in range(k)])
+        for t in range(k)
+    ]
+    blocks = []
+    for row_seq in row_seqs:
+        images = [(tuple(row_seq[i] for i in ridx), cidx) for ridx, cidx in symmetries]
+        if min(image for image, _ in images) < row_seq:
+            continue
+        keep = np.ones(cols.shape[1], dtype=bool)
+        for image, cidx in images[1:]:
+            if image == row_seq:
+                keep &= key <= digits @ cols[cidx]
+        r = np.array(row_seq, dtype=np.int64)
+        blocks.append(((r * j + np.roll(r, -1)) * l)[:, None] + cols[:, keep])
+    return np.ascontiguousarray(np.concatenate(blocks, axis=1))
 
 
 def _sequence_count(j: int, l: int, k: int) -> int:
@@ -296,7 +283,7 @@ def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
     """Girth from the exponent matrix alone (BFS fallback for odd shapes).
 
     Scans lengths 4, 6, 8, 10 for a witness.  Finding none pins the girth
-    to exactly 12 for column-weight-three matrices with L >= 3 (such shapes
+    to exactly 12 for column-weight-three matrices with L >= 2 (such shapes
     always contain 12-cycles); one-row or one-column matrices are acyclic;
     any other shape defers to :func:`girth_oracle` because its girth may
     legitimately exceed 12.
@@ -307,7 +294,7 @@ def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
         witness = find_cycle(matrix, p, length)
         if witness is not None:
             return GirthReport(girth=length, method=EXPONENT_CHECK, witness=witness)
-    if matrix.rows == 3 and matrix.cols >= 3:
+    if matrix.rows == 3:
         return GirthReport(girth=12, method=EXPONENT_CHECK, witness=None)
     girth = girth_oracle(matrix, p)
     return GirthReport(girth=girth, method=GRAPH_BFS, witness=None)

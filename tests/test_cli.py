@@ -70,6 +70,19 @@ class TestGirth:
         outcome = run(["girth", "--matrix", seed_path, "--p", "99991", "--oracle"])
         assert outcome.exit_code == 3
 
+    def test_three_by_two_past_oracle_budget_is_girth_12(self, tmp_path):
+        # 3 * 2 * 20000 edges is over the oracle budget; 3 x 2 shapes used to
+        # defer to the oracle and exit 3, while extend answered 12
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 2, "entries": [[0, 0], [0, 1], [0, 3]]}))
+        assert run(["girth", "--matrix", str(path), "--p", "20000", "--oracle"]).exit_code == 3
+        outcome = run(["girth", "--matrix", str(path), "--p", "20000"])
+        assert outcome.exit_code == 0
+        report = json.loads(outcome.stdout_payload)
+        assert report == {"girth": 12, "method": "EXPONENT_CHECK", "witness": None}
+        oracle = run(["girth", "--matrix", str(path), "--p", "101", "--oracle"])
+        assert json.loads(oracle.stdout_payload)["girth"] == 12
+
 
 class TestExtend:
     def test_thirty_member_manifest(self, seed_path):
@@ -247,6 +260,23 @@ class TestSimulate:
         )
         assert outcome.exit_code == 2
         assert capsys.readouterr().err.startswith("error: channel LLRs at 3080.0 dB")
+
+    @pytest.mark.parametrize("p", ["277778", "1099511627776"])
+    def test_code_over_edge_budget_is_budget_error(self, seed_path, p, capsys):
+        # 3 * 6 * P edges past MAX_SIMULATE_EDGES; the layout used to die
+        # allocating with a numpy memory-error traceback (exit 1)
+        outcome = run(
+            [
+                "simulate", "--matrix", seed_path, "--p", p, "--ebn0", "3",
+                "--max-iter", "10", "--min-error-frames", "2", "--frame-cap", "3",
+                "--seed", "5",
+            ]
+        )
+        assert outcome.exit_code == 3
+        assert outcome.stdout_payload == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "5000000" in err
+        assert "Traceback" not in err
 
     def test_stdout_matches_golden(self, monkeypatch):
         # written by the bincount decoder before the fixed-degree layout

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qcgirth import BudgetError, QcCode, SparseBinaryMatrix, expand, gf2_rank
+from qcgirth.gf2 import MAX_RANK_BITS
 
 from conftest import random_canonical_matrix
 
@@ -69,6 +70,8 @@ def test_block_row_sums_force_rank_deficiency():
 
 
 def test_budget_refusal():
-    big = SparseBinaryMatrix(1, 5, ((0,),))
+    at_budget = SparseBinaryMatrix(1, MAX_RANK_BITS, ((),))
+    assert gf2_rank(at_budget) == 0
+    big = SparseBinaryMatrix(1, MAX_RANK_BITS + 1, ((),))
     with pytest.raises(BudgetError, match="budget"):
-        gf2_rank(big, max_bits=4)
+        gf2_rank(big)

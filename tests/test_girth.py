@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +41,41 @@ def _candidate(j, l, k, i):
     """(row_seq, col_seq) of candidate *i* in the J x L table for 2k-cycles."""
     terms = [int(t) for t in _cycle_table(j, l, k)[:, i]]
     return tuple(t // (j * l) for t in terms), tuple(t % l for t in terms)
+
+
+def _reference_cycle_table(j, l, k):
+    """Cycle table over the full row x column cross product, packed-key orbit minima.
+
+    Every (row_seq, col_seq) pair gets one int64 key of 2k base-max(J, L)
+    digits; a pair is kept when its key is the smallest over the 2k
+    rotations and reflections of the cycle.  Kept pairs stay in row-major
+    (row_seq, col_seq) order.
+    """
+    rows = np.array(_alternating_sequences(j, k), dtype=np.int64).reshape(-1, k)
+    cols = np.array(_alternating_sequences(l, k), dtype=np.int64).reshape(-1, k)
+    if not len(rows) or not len(cols):
+        return None
+    base = max(j, l)
+    assert base ** (2 * k) < 2 ** 62  # packed keys fit in int64
+    weights = base ** np.arange(2 * k - 1, -1, -1, dtype=np.int64)
+
+    def key_of(ridx, cidx):
+        row_part = rows[:, ridx] @ weights[:k]
+        return row_part[:, None] + (cols[:, cidx] @ weights[k:])[None, :]
+
+    orig = key_of(list(range(k)), list(range(k)))
+    best = orig.copy()
+    for t in range(k):
+        if t:
+            idx = [(i + t) % k for i in range(k)]
+            np.minimum(best, key_of(idx, idx), out=best)
+        ridx = [(t - i) % k for i in range(k)]
+        cidx = [(t - 1 - i) % k for i in range(k)]
+        np.minimum(best, key_of(ridx, cidx), out=best)
+    row_index, col_index = np.nonzero(orig == best)
+    full_r, full_c = rows[row_index], cols[col_index]
+    terms = (full_r * j + np.roll(full_r, -1, axis=1)) * l + full_c
+    return np.ascontiguousarray(terms.T)
 
 
 def _girth_every_root(matrix, p):
@@ -294,20 +330,26 @@ class TestEnumerationStructure:
         row_seqs = _cycle_table(3, 6, k) // 18  # r_i of each term
         assert all(len(set(map(int, rows))) >= 3 for rows in row_seqs.T)
 
-    def test_packed_orbit_keys_fit_int64_for_every_admitted_shape(self):
-        # _canonical_mask packs 2k digits of base max(J, L) into one int64;
-        # every shape within the sequence budget must fit below 2**62
-        for k in range(2, 7):
-            sizes = [n for n in range(2, 5000) if _alternating_count(n, k) > 0]
-            smallest = sizes[0]
-            assert _sequence_count(sizes[-1], smallest, k) > SEQUENCE_BUDGET
-            for j in sizes:
-                if _sequence_count(j, smallest, k) > SEQUENCE_BUDGET:
-                    break
-                for l in sizes:
-                    if _sequence_count(j, l, k) > SEQUENCE_BUDGET:
-                        break
-                    assert max(j, l) ** (2 * k) < 2 ** 62, (j, l, k)
+    @pytest.mark.parametrize(
+        "j, l, k",
+        [
+            (j, l, k)
+            for j in range(1, 8)
+            for l in range(1, 8)
+            for k in range(2, 7)
+            if _sequence_count(j, l, k) <= SEQUENCE_BUDGET
+        ]
+        + [(3, 10, 5)],
+    )
+    def test_table_equals_cross_product_reference(self, j, l, k):
+        # same candidates in the same order, so sums and witnesses are unchanged
+        expected = _reference_cycle_table(j, l, k)
+        table = _cycle_table(j, l, k)
+        if expected is None:
+            assert table is None
+        else:
+            assert table.dtype == expected.dtype and table.flags.c_contiguous
+            np.testing.assert_array_equal(table, expected)
 
 
 class TestGirthReport:
