@@ -3,14 +3,14 @@
 Flooding schedule with the exact tanh check-node rule; variable-to-check
 messages are clamped to +/-30 before the tanh to keep the products finite.
 
-Messages use a fixed-degree layout: ``cols[k, r]`` (dc x M) is the column of
-check r's k-th edge, so row sums broadcast back and the parity test is one
-XOR-reduce; ``gather[k, c]`` (dv x N) is the flat slot of column c's k-th
-edge.  Sums add slot 0, 1, ... in turn from 0.0, as np.bincount does over a
-flat edge list, so the arithmetic matches such a decoder bit for bit.  A QC
-code has dc = L and dv = J and its layout comes from the exponents.  Other
-matrices pad short rows with column N (tanh forced to 1.0) and short columns
-with a slot that stays 0.0.
+Messages use the matrix's cached fixed-degree layout: ``cols[k, r]`` (dc x M)
+is the column of check r's k-th edge, so row sums broadcast back and a parity
+test is one XOR-reduce; ``gather[k, c]`` (dv x N) is the flat slot of column
+c's k-th edge.  Sums add slot 0, 1, ... in turn from 0.0, as np.bincount does
+over a flat edge list, so the arithmetic matches such a decoder bit for bit.
+A QC code has dc = L and dv = J and :func:`qc_layout` builds it from the
+exponents.  Other matrices pad short rows with column N (tanh forced to 1.0)
+and short columns with a slot that stays 0.0.
 
 Simulation transmits the all-zero codeword over BPSK (bit 0 -> +1) plus
 Gaussian noise with variance 1 / (2 * rate * 10^(ebn0_db/10)), which is
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
 from .errors import BudgetError
-from .matrices import QcCode, SparseBinaryMatrix
+from .matrices import QcCode, SparseBinaryMatrix, qc_layout
 
 LLR_CLAMP = 30.0
 MAX_SIMULATE_EDGES = 5_000_000  # J * L * P edges one monte_carlo call lays out
@@ -110,39 +109,9 @@ def syndrome(matrix: SparseBinaryMatrix, word) -> np.ndarray:
         raise ValueError(
             f"word length {w.shape} does not match n_cols {matrix.n_cols}"
         )
-    bits = w.astype(np.int64) & 1
-    out = np.zeros(matrix.n_rows, dtype=np.uint8)
-    for r, support in enumerate(matrix.row_supports):
-        acc = 0
-        for c in support:
-            acc ^= int(bits[c])
-        out[r] = acc
-    return out
-
-
-def _qc_layout(code: QcCode) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, gather) of the expansion: check u*P + r meets column v*P + (r + E[u][v]) mod P."""
-    p, j, l = code.circulant_size, code.exponents.rows, code.exponents.cols
-    s = np.array([[e % p for e in row] for row in code.exponents.entries], dtype=np.int64)
-    local, block = np.arange(p), np.arange(l)[:, None, None]
-    cols = block * p + (local + s.T[:, :, None]) % p
-    checks = np.arange(j)[:, None, None] * p + (local - s[:, :, None]) % p
-    gather = block.reshape(1, l, 1) * (j * p) + checks
-    return cols.reshape(l, j * p), gather.reshape(j, l * p)
-
-
-def _layout(matrix: SparseBinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, gather) of any matrix, padded to its largest row and column degree."""
-    m, n = matrix.n_rows, matrix.n_cols
-    padded = zip_longest(*matrix.row_supports, fillvalue=n)
-    cols = np.array(list(padded), dtype=np.int64).reshape(-1, m)
-    by_col = np.argsort((cols * m + np.arange(m)).ravel())
-    col_deg = np.bincount(cols.ravel(), minlength=n + 1)[:n]
-    slots = by_col[: int(col_deg.sum())]
-    col = cols.ravel()[slots]
-    gather = np.full((int(col_deg.max(initial=0)), n), cols.size, dtype=np.int64)
-    gather[np.arange(slots.size) - (np.cumsum(col_deg) - col_deg)[col], col] = slots
-    return cols, gather
+    # The padding column n_cols reads bit 0.
+    bits = np.append(w.astype(np.int64) & 1, 0).astype(np.uint8)
+    return np.bitwise_xor.reduce(bits[matrix.layout[0]], axis=0)
 
 
 def _sum_in_order(slots: np.ndarray) -> np.ndarray:
@@ -210,7 +179,7 @@ def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
         )
     if not np.isfinite(values).all():
         raise ValueError("LLR input must be finite")
-    return _sp_decode(*_layout(matrix), values, max_iter)
+    return _sp_decode(*matrix.layout, values, max_iter)
 
 
 def monte_carlo(
@@ -234,7 +203,7 @@ def monte_carlo(
         raise BudgetError(
             f"code has {n_edges} edges, over the simulation budget of {MAX_SIMULATE_EDGES}"
         )
-    cols, gather = _qc_layout(code)
+    cols, gather = qc_layout(code)
     n = code.block_length
     sigma2 = channel.noise_variance
     frames = bit_errors = frame_errors = 0

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .matrices import MAX_VALUE, ExponentMatrix, QcCode, expand
+from .matrices import MAX_VALUE, ExponentMatrix, QcCode, qc_layout
 
 EXPONENT_CHECK = "EXPONENT_CHECK"
 GRAPH_BFS = "GRAPH_BFS"
@@ -139,25 +139,15 @@ def _alternating_count(symbols: int, k: int) -> int:
     return (symbols - 1) ** k + (symbols - 1) * (-1) ** k
 
 
-def _alternating_sequences(symbols: int, k: int) -> list[tuple[int, ...]]:
-    """All cyclic adjacent-distinct sequences, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    seq = [0] * k
-
-    def rec(i: int) -> None:
-        if i == k:
-            out.append(tuple(seq))
-            return
-        for v in range(symbols):
-            if i > 0 and v == seq[i - 1]:
-                continue
-            if i == k - 1 and v == seq[0]:
-                continue
-            seq[i] = v
-            rec(i + 1)
-
-    rec(0)
-    return out
+def _alternating_sequences(symbols: int, k: int) -> np.ndarray:
+    """All cyclic adjacent-distinct sequences, one per row, in lexicographic order."""
+    symbol = np.arange(symbols, dtype=np.int64)
+    seqs = symbol[:, None]
+    for _ in range(k - 1):
+        # Each sequence, in order, gains each symbol in ascending order.
+        seqs = np.column_stack([np.repeat(seqs, symbols, axis=0), np.tile(symbol, len(seqs))])
+        seqs = seqs[seqs[:, -1] != seqs[:, -2]]
+    return seqs[seqs[:, -1] != seqs[:, 0]]
 
 
 @lru_cache(maxsize=None)
@@ -172,11 +162,10 @@ def _cycle_table(j: int, l: int, k: int) -> np.ndarray | None:
     exists (fewer than two rows or columns, or odd k with fewer than three
     of either).
     """
-    row_seqs = _alternating_sequences(j, k)
-    col_seqs = _alternating_sequences(l, k)
-    if not row_seqs or not col_seqs:
+    row_seqs = [tuple(seq) for seq in _alternating_sequences(j, k).tolist()]
+    cols = _alternating_sequences(l, k).T.copy()
+    if not row_seqs or not cols.size:
         return None
-    cols = np.array(col_seqs, dtype=np.int64).T.copy()
     digits = l ** np.arange(k - 1, -1, -1, dtype=np.int64)
     key = digits @ cols  # orders column sequences lexicographically
     # (row, column) index maps of the k rotations, identity first, and of the
@@ -317,19 +306,15 @@ def girth_oracle(matrix: ExponentMatrix, p: int) -> int | None:
             f"expanded graph has {n_edges} edges, over the oracle budget of "
             f"{ORACLE_EDGE_BUDGET}"
         )
-    h = expand(QcCode(matrix, p))
-    m, n = h.n_rows, h.n_cols
-    n_vertices = m + n
-    adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    for r, support in enumerate(h.row_supports):
-        for c in support:
-            adj[r].append(m + c)
-            adj[m + c].append(r)
+    cols, gather = qc_layout(QcCode(matrix, p))
+    m = cols.shape[1]
+    # Checks are vertices 0..M-1 and columns M..M+N-1; gather holds v*M + check.
+    adj = (cols.T + m).tolist() + (gather % m).T.tolist()
 
     best = float("inf")
     for root in range(0, m, p):
-        dist = [-1] * n_vertices
-        parent = [-1] * n_vertices
+        dist = [-1] * len(adj)
+        parent = [-1] * len(adj)
         dist[root] = 0
         queue = deque([root])
         while queue:

@@ -6,7 +6,9 @@ matrix: entry p at block (u, v) becomes the P x P permutation matrix with a
 one at column (r + p) mod P for each local row r.
 
 Entries may exceed P: a seed matrix found at one circulant size is reused at
-many sizes, and :func:`expand` reduces entries mod P.  All values here are
+many sizes, and :func:`expand` reduces entries mod P.  Every expansion (the
+sparse matrix, the decoder's edges, the BFS oracle's Tanner graph) comes from
+the arrays of one numpy builder, :func:`qc_layout`.  All values here are
 immutable after construction and safe to share across threads.
 """
 
@@ -14,8 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 # Largest accepted exponent entry and circulant size.  A cycle's exponent
 # sum adds at most six differences of entries, so |sum| <= 6 * 2**59 < 2**63
@@ -127,9 +133,8 @@ class QcCode:
 class SparseBinaryMatrix:
     """Binary matrix stored as per-row sorted column supports.
 
-    Row-major supports are the primary representation (the decoder and the
-    rank computation both iterate rows); column supports are derived on
-    demand.
+    Row-major supports are the primary representation; the fixed-degree
+    :attr:`layout` and the column supports are derived from them.
     """
 
     n_rows: int
@@ -156,6 +161,27 @@ class SparseBinaryMatrix:
     def ones_count(self) -> int:
         return sum(len(s) for s in self.row_supports)
 
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (cols, gather), built once per instance.
+
+        ``cols[k, r]`` (dc x M) is the column of row r's k-th one, n_cols past
+        a short row's end; ``gather[k, c]`` (dv x N) is the flat index into
+        ``cols`` of column c's k-th one, rows ascending, cols.size past a
+        short column's end.
+        """
+        m, n = self.n_rows, self.n_cols
+        padded = zip_longest(*self.row_supports, fillvalue=n)
+        cols = np.array(list(padded), dtype=np.int64).reshape(-1, m)
+        by_col = np.argsort((cols * m + np.arange(m)).ravel())
+        col_deg = np.bincount(cols.ravel(), minlength=n + 1)[:n]
+        slots = by_col[: int(col_deg.sum())]
+        col = cols.ravel()[slots]
+        gather = np.full((int(col_deg.max(initial=0)), n), cols.size, dtype=np.int64)
+        gather[np.arange(slots.size) - (np.cumsum(col_deg) - col_deg)[col], col] = slots
+        cols.flags.writeable = gather.flags.writeable = False
+        return cols, gather
+
     def column_supports(self) -> list[list[int]]:
         """Per-column sorted row supports (computed, not stored)."""
         cols: list[list[int]] = [[] for _ in range(self.n_cols)]
@@ -165,25 +191,34 @@ class SparseBinaryMatrix:
         return cols
 
 
+def qc_layout(code: QcCode) -> tuple[np.ndarray, np.ndarray]:
+    """The expansion's (cols, gather) layout, straight from the exponents.
+
+    Check u*P + r meets column v*P + (r + E[u][v]) mod P: ``cols`` is L x M
+    and ``gather`` J x N, as :attr:`SparseBinaryMatrix.layout` lays them out.
+    """
+    p, j, l = code.circulant_size, code.exponents.rows, code.exponents.cols
+    s = np.array([[e % p for e in row] for row in code.exponents.entries], dtype=np.int64)
+    local, block = np.arange(p), np.arange(l)[:, None, None]
+    cols = local + s.T[:, :, None]
+    cols %= p  # in place: no second (L, J, P) temporary
+    cols += block * p
+    gather = local - s[:, :, None]
+    gather %= p
+    gather += np.arange(j)[:, None, None] * p + block.reshape(1, l, 1) * (j * p)
+    return cols.reshape(l, j * p), gather.reshape(j, l * p)
+
+
 def expand(code: QcCode) -> SparseBinaryMatrix:
     """Expand a QC code into its sparse parity-check matrix.
 
     The block at block-row u, block-col v is the circulant permutation with
     a one at column (r + p[u][v]) mod P for each local row r; exponents are
     reduced mod P before placement.  Deterministic: repeated calls yield
-    identical supports.
+    identical supports, whose entries are Python ints.
     """
-    m = code.exponents
-    p = code.circulant_size
-    shifts = [[e % p for e in row] for row in m.entries]
-    supports: list[tuple[int, ...]] = []
-    for u in range(m.rows):
-        row_shifts = shifts[u]
-        for r in range(p):
-            supports.append(
-                tuple(v * p + (r + row_shifts[v]) % p for v in range(m.cols))
-            )
-    return SparseBinaryMatrix(m.rows * p, m.cols * p, tuple(supports))
+    rows = zip(*qc_layout(code)[0].tolist())  # cols.T; the arrays are freed here
+    return SparseBinaryMatrix(code.parity_rows, code.block_length, tuple(rows))
 
 
 def matrix_to_json(matrix: ExponentMatrix, label: str | None = None) -> dict:

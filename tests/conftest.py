@@ -4,8 +4,9 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from qcgirth import ExponentMatrix
+from qcgirth import ExponentMatrix, QcCode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +37,14 @@ def random_canonical_matrix(rng: random.Random, j: int, l: int, p: int) -> Expon
     for _ in range(j - 1):
         rows.append([0] + [rng.randrange(p) for _ in range(l - 1)])
     return ExponentMatrix.from_rows(rows)
+
+
+@st.composite
+def qc_codes(draw):
+    """Small QC codes: canonical or free exponents, odd or even P, entries up to 3P."""
+    j, l, p = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(2, 40))
+    entries = st.lists(st.integers(0, 3 * p), min_size=l, max_size=l)
+    rows = draw(st.lists(entries, min_size=j, max_size=j))
+    if draw(st.booleans()):
+        rows = [[0] * l] + [[0] + row[1:] for row in rows[1:]]
+    return QcCode(ExponentMatrix.from_rows(rows), p)

@@ -23,11 +23,10 @@ from qcgirth.decoder import (
     _ATANH_LIMIT,
     LLR_CLAMP,
     DecodeResult,
-    _layout,
-    _qc_layout,
     _sp_decode,
     _sum_in_order,
 )
+from qcgirth.matrices import qc_layout
 
 
 TOY_H = SparseBinaryMatrix(
@@ -145,6 +144,32 @@ class TestSyndrome:
         with pytest.raises(ValueError, match="length"):
             syndrome(TOY_H, np.zeros(5, dtype=int))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        matrix=st.one_of(
+            st.just(TOY_H),
+            # empty rows and an empty last column
+            st.just(SparseBinaryMatrix(4, 5, ((), (0, 3), (), (1, 2, 3)))),
+            _sparse_matrices(),
+        ),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_row_loop(self, matrix, seed):
+        word = np.random.default_rng(seed).integers(0, 4, matrix.n_cols)
+        want = np.zeros(matrix.n_rows, dtype=np.uint8)
+        for r, support in enumerate(matrix.row_supports):
+            for c in support:
+                want[r] ^= word[c] & 1
+        got = syndrome(matrix, word)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+    def test_layout_is_cached_and_read_only(self, ref_seed):
+        h = expand(QcCode(ref_seed, 29))
+        decode_sp(h, np.full(h.n_cols, 5.0), 3)
+        cols, gather = h.layout
+        assert h.layout[0] is cols and h.layout[1] is gather
+        assert not cols.flags.writeable and not gather.flags.writeable
+
 
 class TestDecodeSp:
     @pytest.mark.parametrize(
@@ -207,7 +232,7 @@ class TestAgainstReference:
         want = _reference_decode(h, llr, max_iter)
         assert _same(decode_sp(h, llr, max_iter), want)
         # monte_carlo's layout, built from the exponents, decodes the same
-        assert _same(_sp_decode(*_qc_layout(code), llr, max_iter), want)
+        assert _same(_sp_decode(*qc_layout(code), llr, max_iter), want)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -248,7 +273,10 @@ class TestAgainstReference:
     @settings(max_examples=40, deadline=None)
     @given(code=_qc_codes())
     def test_layout_from_exponents_matches_expansion(self, code):
-        for got, want in zip(_qc_layout(code), _layout(expand(code))):
+        h = expand(code)
+        # A fresh matrix builds its layout from the row supports.
+        rebuilt = SparseBinaryMatrix(h.n_rows, h.n_cols, h.row_supports).layout
+        for got, want in zip(qc_layout(code), rebuilt):
             assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcgirth import BudgetError, QcCode, SparseBinaryMatrix, expand, gf2_rank
 from qcgirth.gf2 import MAX_RANK_BITS
 
-from conftest import random_canonical_matrix
+from conftest import qc_codes, random_canonical_matrix
 
 
 def _identity(n: int) -> SparseBinaryMatrix:
@@ -75,3 +77,44 @@ def test_budget_refusal():
     big = SparseBinaryMatrix(1, MAX_RANK_BITS + 1, ((),))
     with pytest.raises(BudgetError, match="budget"):
         gf2_rank(big)
+
+
+def _dense_rank(matrix: SparseBinaryMatrix) -> int:
+    """Independent rank oracle: dense elimination on packed uint64 words."""
+    words = (matrix.n_cols + 63) // 64
+    rows = np.zeros((matrix.n_rows, words), dtype=np.uint64)
+    for r, support in enumerate(matrix.row_supports):
+        for c in support:
+            rows[r, c // 64] |= np.uint64(1) << np.uint64(c % 64)
+    rank = 0
+    for c in range(matrix.n_cols):
+        word, bit = c // 64, np.uint64(1) << np.uint64(c % 64)
+        hits = np.flatnonzero(rows[rank:, word] & bit) + rank
+        if hits.size == 0:
+            continue
+        rows[[rank, hits[0]]] = rows[[hits[0], rank]]
+        others = np.flatnonzero(rows[:, word] & bit)
+        others = others[others != rank]
+        rows[others] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=120, deadline=None)
+@given(code=qc_codes())
+def test_qc_rank_matches_dense_elimination(code):
+    h = expand(code)
+    assert gf2_rank(h) == _dense_rank(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=qc_codes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_survives_row_shuffle_and_column_permutation(code, seed):
+    h = expand(code)
+    rng = random.Random(seed)
+    perm = list(range(h.n_cols))
+    rng.shuffle(perm)
+    rows = [tuple(sorted(perm[c] for c in support)) for support in h.row_supports]
+    rng.shuffle(rows)
+    assert gf2_rank(SparseBinaryMatrix(h.n_rows, h.n_cols, tuple(rows))) == gf2_rank(h)
+

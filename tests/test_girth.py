@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 
@@ -314,6 +315,18 @@ class TestAgreement:
 
 
 class TestEnumerationStructure:
+    @pytest.mark.parametrize("symbols", [0, 1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_sequences_are_the_lexicographic_product_filter(self, symbols, k):
+        want = [
+            seq
+            for seq in itertools.product(range(symbols), repeat=k)
+            if all(seq[i] != seq[(i + 1) % k] for i in range(k))
+        ]
+        got = _alternating_sequences(symbols, k)
+        assert got.shape == (len(want), k)
+        assert [tuple(seq) for seq in got.tolist()] == want
+
     def test_sequence_counts_match_formula(self):
         for symbols in (2, 3, 4, 6):
             for k in (2, 3, 4, 5, 6):

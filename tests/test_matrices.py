@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qcgirth import (
     ExponentMatrix,
@@ -19,7 +21,7 @@ from qcgirth import (
 
 from qcgirth.matrices import MAX_VALUE
 
-from conftest import random_canonical_matrix
+from conftest import qc_codes, random_canonical_matrix
 
 
 class TestExponentMatrix:
@@ -105,6 +107,26 @@ class TestSparseBinaryMatrix:
         with pytest.raises(ValueError, match="out of range"):
             SparseBinaryMatrix(1, 3, ((3,),))
 
+    @pytest.mark.parametrize(
+        "supports, message",
+        [
+            (((0, True),), "column index must be an integer, got True"),
+            (((np.int64(1),),), "column index must be an integer, got np.int64(1)"),
+            (((0.0,),), "column index must be an integer, got 0.0"),
+            (((-1,),), "column indices must be strictly increasing"),
+            (((1, 1),), "column indices must be strictly increasing"),
+            (((0, 3),), "column index 3 out of range"),
+            (((2 ** 70,),), f"column index {2 ** 70} out of range"),
+            # The first offending index, row-major, decides the message.
+            (((2, 1), (0, "a")), "column indices must be strictly increasing"),
+            (((0, 1), (3, 2)), "column index 3 out of range"),
+        ],
+    )
+    def test_rejection_messages(self, supports, message):
+        with pytest.raises(ValueError) as info:
+            SparseBinaryMatrix(len(supports), 3, supports)
+        assert str(info.value) == message
+
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValueError, match="n_rows"):
             SparseBinaryMatrix(2, 3, ((0,),))
@@ -118,7 +140,32 @@ class TestSparseBinaryMatrix:
         assert m.column_supports() == [[0, 2], [1], [0]]
 
 
+def _loop_expand(code: QcCode) -> SparseBinaryMatrix:
+    """Reference expansion: one Python tuple per check row, built entry by entry."""
+    m, p = code.exponents, code.circulant_size
+    shifts = [[e % p for e in row] for row in m.entries]
+    supports = []
+    for u in range(m.rows):
+        for r in range(p):
+            supports.append(tuple(v * p + (r + shifts[u][v]) % p for v in range(m.cols)))
+    return SparseBinaryMatrix(m.rows * p, m.cols * p, tuple(supports))
+
+
 class TestExpand:
+    @settings(max_examples=100, deadline=None)
+    @given(code=qc_codes())
+    def test_matches_loop_expansion(self, code):
+        h = expand(code)
+        assert h == _loop_expand(code)
+        assert all(type(c) is int for support in h.row_supports for c in support)
+        assert all(type(support) is tuple for support in h.row_supports)
+
+    def test_reference_seed_matches_loop_expansion(self, ref_seed):
+        code = QcCode(ref_seed, 745)
+        h = expand(code)
+        assert h == _loop_expand(code)
+        assert all(type(c) is int for support in h.row_supports for c in support)
+
     def test_identity_block(self):
         m = ExponentMatrix.from_rows([[0]])
         h = expand(QcCode(m, 3))
