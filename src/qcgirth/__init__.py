@@ -11,7 +11,7 @@ from .decoder import (
     summaries_to_csv,
     syndrome,
 )
-from .errors import BudgetError, FamilyVerificationError, SearchBudgetError
+from .errors import BudgetError, SearchBudgetError
 from .extension import (
     ConditionReport,
     check_seed_conditions,
@@ -58,7 +58,6 @@ __all__ = [
     "DecodeResult",
     "EXPONENT_CHECK",
     "ExponentMatrix",
-    "FamilyVerificationError",
     "GRAPH_BFS",
     "GirthReport",
     "QcCode",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .alist import export_alist
 from .decoder import ChannelParams, monte_carlo, summaries_to_csv
-from .errors import BudgetError, FamilyVerificationError
+from .errors import BudgetError
 from .extension import check_seed_conditions, extend_family, family_manifest
 from .girth import GRAPH_BFS, CycleSpectrum, GirthReport, girth_fast, girth_oracle
 from .matrices import QcCode, expand, load_matrix, matrix_to_json
@@ -50,12 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--oracle", action="store_true", help="force the BFS oracle")
 
-    p = sub.add_parser("extend", help="generate a verified girth-12 family")
+    p = sub.add_parser("extend", help="generate a certified girth-12 family")
     p.add_argument("--matrix", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--from", dest="p_lo", type=int, required=True)
     p.add_argument("--to", dest="p_hi", type=int, required=True)
-    p.add_argument("--no-verify", action="store_true")
 
     p = sub.add_parser("search", help="search for a certified seed")
     p.add_argument("--cols", type=int, required=True)
@@ -103,10 +102,7 @@ def _cmd_extend(args) -> CommandOutcome:
     matrix = load_matrix(args.matrix)
     # One spectrum: the seed's cycle table is scanned once per command.
     spectrum = CycleSpectrum(matrix)
-    codes = extend_family(
-        matrix, args.q, args.p_lo, args.p_hi,
-        verify=not args.no_verify, spectrum=spectrum,
-    )
+    codes = extend_family(matrix, args.q, args.p_lo, args.p_hi, spectrum=spectrum)
     manifest = family_manifest(matrix, args.q, codes, spectrum=spectrum)
     return CommandOutcome(EXIT_OK, json.dumps(manifest, indent=2))
 
@@ -207,9 +203,6 @@ def run(argv: list[str]) -> CommandOutcome:
         return CommandOutcome(code, "")
     try:
         return _HANDLERS[args.command](args)
-    except FamilyVerificationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return CommandOutcome(EXIT_VERIFICATION, "")
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return CommandOutcome(EXIT_BUDGET, "")

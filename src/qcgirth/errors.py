@@ -9,18 +9,3 @@ class BudgetError(RuntimeError):
 
 class SearchBudgetError(BudgetError):
     """Seed search exhausted its budget without a certified result."""
-
-
-class FamilyVerificationError(RuntimeError):
-    """A family member failed its independent girth re-check.
-
-    This firing means either the girth checker or the seed-condition
-    checker is wrong; it is never an expected runtime condition.
-    """
-
-    def __init__(self, circulant_size: int, girth: int | None):
-        super().__init__(
-            f"family member at P={circulant_size} has girth {girth}, expected 12"
-        )
-        self.circulant_size = circulant_size
-        self.girth = girth

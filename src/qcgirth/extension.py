@@ -1,15 +1,17 @@
 """Seed-condition checking and girth-12 family extension.
 
-A (3,L) seed that is girth-12 at some circulant size Q, has p1[v] <= p2[v]
-column-wise, and whose row-2 value gap (largest minus second largest)
-dominates the row-1 maximum, stays girth-12 at every circulant size
-P >= 2 * p2_max + 1.  That bound is tight: at P = 2 * p2_max the columns
-0 and argmax(row 2) close an 8-cycle between block-rows 0 and 2.
+The paper's conditions on a canonical (3,L) seed are girth 12 at some size
+Q, p1[v] <= p2[v] column-wise, and a row-2 gap (largest minus second largest)
+of at least the row-1 maximum; it claims girth 12 at every P >= 2·p2_max + 1.
+That formula appears to rest on an implicit hypothesis, the row-1 maximum in
+the row-2 argmax column: [[0,0,0],[0,8,9],[0,39,25]] passes all three at
+Q = 43, yet a 10-cycle closes at P = 79.  So min_P is the exact bound
+:meth:`CycleSpectrum.bound`, max|S| + 1 over the exponent sums S (P divides
+a nonzero S only if P <= |S|); under that hypothesis it equals the formula.
 
 "Second largest" is read over the multiset of row-2 values: a repeated
 maximum makes the gap zero, which fails the condition for any nontrivial
-row 1.  This is the conservative reading; it keeps the extension guarantee
-airtight for every pair of distinct column choices.
+row 1 (the conservative reading).
 
 Girth questions go through one :class:`CycleSpectrum` of the seed: a (3,L)
 matrix with L >= 2 always has 12-cycles (two columns and the three rows, or
@@ -19,10 +21,10 @@ the shortest length through 10 whose exponent sums P divides, else 12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import BudgetError, FamilyVerificationError
-from .girth import CycleSpectrum, CycleWitness, find_cycle
+from .errors import BudgetError
+from .girth import CycleSpectrum, CycleWitness, girth_fast
 from .matrices import ExponentMatrix, QcCode, canonical_check, matrix_to_json
 
 MAX_FAMILY_MEMBERS = 1_000_000  # largest P window one extend_family call builds
@@ -30,7 +32,7 @@ MAX_FAMILY_MEMBERS = 1_000_000  # largest P window one extend_family call builds
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of the three seed conditions plus the derived bound."""
+    """Outcome of the three seed conditions plus the seed's family bound."""
 
     cond1_girth12: bool
     cond2_elementwise: bool
@@ -38,7 +40,12 @@ class ConditionReport:
     p2_max: int
     p2_second: int
     p1_max: int
-    min_p: int
+    spectrum: CycleSpectrum = field(repr=False, compare=False)
+
+    @property
+    def min_p(self) -> int | None:
+        """:meth:`CycleSpectrum.bound` of the seed; None when no P is girth 12."""
+        return self.spectrum.bound()
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -75,11 +82,6 @@ def _row_extremes(matrix: ExponentMatrix) -> tuple[int, int, int]:
     ordered = sorted(row2, reverse=True)
     p2_second = ordered[1] if len(ordered) >= 2 else ordered[0]
     return max(row1), ordered[0], p2_second
-
-
-def _member_girth(spectrum: CycleSpectrum, p: int) -> int:
-    """Girth at size *p* of a (3,L) matrix with L >= 2 (see module notes)."""
-    return spectrum.shortest_cycle(p) or 12
 
 
 def check_seed_conditions(
@@ -122,7 +124,7 @@ def _condition_report(
         p2_max=p2_max,
         p2_second=p2_second,
         p1_max=p1_max,
-        min_p=2 * p2_max + 1,
+        spectrum=spectrum,
     )
 
 
@@ -131,17 +133,15 @@ def extend_family(
     q: int,
     p_lo: int,
     p_hi: int,
-    verify: bool = True,
     *,
     spectrum: CycleSpectrum | None = None,
 ) -> list[QcCode]:
     """One code per circulant size in [p_lo, p_hi], all girth 12.
 
     The seed must pass :func:`check_seed_conditions` at Q and p_lo must be
-    at or above the certified bound.  With *verify* every member's girth is
-    re-derived from the seed's exponent-sum spectrum (a divisor test per
-    member, no table scan); a member that is not girth 12 aborts with its P.
-    Pass the seed's *spectrum* to share its table scans with later calls.
+    at or above its bound min_P = max|S| + 1, which no exponent sum S
+    reaches, so no member's P divides one.  Pass the seed's *spectrum* to
+    share its table scans with later calls.
     Windows of more than MAX_FAMILY_MEMBERS sizes raise BudgetError before
     any work starts.
     """
@@ -163,46 +163,24 @@ def extend_family(
         )
     if p_hi < p_lo:
         raise ValueError(f"empty range: {p_hi} < {p_lo}")
-
-    sizes = range(p_lo, p_hi + 1)
-    if verify:
-        for p in sizes:
-            girth = _member_girth(spectrum, p)
-            if girth != 12:
-                raise FamilyVerificationError(p, girth)
-
-    return [QcCode(matrix, p) for p in sizes]
+    return [QcCode(matrix, p) for p in range(p_lo, p_hi + 1)]
 
 
 def tightness_witness(matrix: ExponentMatrix) -> CycleWitness:
-    """The 8-cycle showing the extension bound is tight at P = 2 * p2_max.
+    """The shortest cycle at P = min_P - 1, showing the family bound is tight.
 
-    With a unique row-2 maximum at column x != 0, block-rows 0 and 2 and
-    columns 0 and x close an 8-cycle whose exponent sum is exactly
-    2 * p2_max.  Without a unique off-zero maximum that construction is
-    undefined, so the generic length-8 search takes over at the same
-    modulus.
+    At P = max|S| the largest exponent-sum magnitude is a multiple of P, so
+    :func:`girth_fast` finds a cycle of length at most 10 there.  Raises
+    ValueError when some sum is zero (no P is girth 12, so there is no bound).
     """
-    if matrix.rows != 3:
-        raise ValueError("tightness witness applies to (3,L) matrices only")
+    if matrix.rows != 3 or matrix.cols < 2:
+        raise ValueError("tightness witness applies to (3,L) matrices with L >= 2 only")
     if not canonical_check(matrix).passed:
         raise ValueError("matrix must be canonical")
-    row2 = matrix.entries[2]
-    p2_max = max(row2)
-    modulus = 2 * p2_max
-    if modulus < 2:
-        raise ValueError("row 2 is all zero; no tightness modulus exists")
-    max_cols = [v for v, e in enumerate(row2) if e == p2_max]
-    if len(max_cols) == 1 and max_cols[0] != 0:
-        x = max_cols[0]
-        return CycleWitness(8, (0, 2, 0, 2), (0, x, 0, x), modulus)
-    witness = find_cycle(matrix, modulus, 8)
-    if witness is None:
-        raise ValueError(
-            f"no 8-cycle found at P={modulus}; the direct construction needs a "
-            "unique row-2 maximum away from column 0"
-        )
-    return witness
+    bound = CycleSpectrum(matrix).bound()
+    if bound is None:
+        raise ValueError("an exponent sum is zero: a cycle closes at every P, so no bound exists")
+    return girth_fast(matrix, bound - 1).witness
 
 
 def family_manifest(
@@ -219,16 +197,15 @@ def family_manifest(
     pass the *spectrum* :func:`extend_family` used to avoid scanning again.
     """
     spectrum = spectrum or CycleSpectrum(matrix)
-    p2_max = _row_extremes(matrix)[1]
     return {
         "seed": matrix_to_json(matrix, label),
         "Q": q,
-        "min_P": 2 * p2_max + 1,
+        "min_P": spectrum.bound(),
         "members": [
             {
                 "P": code.circulant_size,
                 "N": code.block_length,
-                "girth": _member_girth(spectrum, code.circulant_size),
+                "girth": spectrum.shortest_cycle(code.circulant_size) or 12,
             }
             for code in codes
         ],

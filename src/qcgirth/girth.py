@@ -254,18 +254,33 @@ class CycleSpectrum:
         self._matrix = matrix
         self._sums: dict[int, tuple[np.ndarray, int, int]] = {}
 
+    def _scan(self, length: int) -> tuple[np.ndarray, int, int]:
+        """(|sums|, min, max) of one length, scanned on first use."""
+        if length not in self._sums:
+            sums = np.abs(exponent_sums(self._matrix, length))
+            self._sums[length] = sums, int(sums.min(initial=1)), int(sums.max(initial=0))
+        return self._sums[length]
+
     def shortest_cycle(self, p: int) -> int | None:
         """Shortest length through 10 with a cycle closing at size *p*, or None."""
         _check_modulus(p)
         for length in SHORT_CYCLE_LENGTHS:
-            if length not in self._sums:
-                sums = np.abs(exponent_sums(self._matrix, length))
-                self._sums[length] = sums, int(sums.min(initial=1)), int(sums.max(initial=0))
-            sums, lo, hi = self._sums[length]
+            sums, lo, hi = self._scan(length)
             # Only a zero sum or one of at least p can be a multiple of p.
             if (lo == 0 or hi >= p) and (sums % p == 0).any():
                 return length
         return None
+
+    def bound(self) -> int | None:
+        """Smallest P0 with no cycle through length 10 at any P >= P0.
+
+        max|S| + 1 over the sums S: P divides a nonzero S only if P <= |S|,
+        and P = max|S| divides one.  None when some sum is 0 (always closes).
+        """
+        scans = [self._scan(length) for length in SHORT_CYCLE_LENGTHS]
+        if any(lo == 0 for _, lo, _ in scans):
+            return None
+        return max(hi for _, _, hi in scans) + 1
 
 
 def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:

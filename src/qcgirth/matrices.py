@@ -23,10 +23,13 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import BudgetError
+
 # Largest accepted exponent entry and circulant size.  A cycle's exponent
 # sum adds at most six differences of entries, so |sum| <= 6 * 2**59 < 2**63
 # and every sum is exact in int64.
 MAX_VALUE = 2 ** 59
+MAX_LAYOUT_EDGES = 5_000_000  # J * L * P edges one qc_layout call lays out
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,14 @@ def qc_layout(code: QcCode) -> tuple[np.ndarray, np.ndarray]:
 
     Check u*P + r meets column v*P + (r + E[u][v]) mod P: ``cols`` is L x M
     and ``gather`` J x N, as :attr:`SparseBinaryMatrix.layout` lays them out.
+    Raises BudgetError, before allocating anything, for codes with more than
+    MAX_LAYOUT_EDGES edges.
     """
     p, j, l = code.circulant_size, code.exponents.rows, code.exponents.cols
+    if j * l * p > MAX_LAYOUT_EDGES:
+        raise BudgetError(
+            f"code has {j * l * p} edges, over the layout budget of {MAX_LAYOUT_EDGES}"
+        )
     s = np.array([[e % p for e in row] for row in code.exponents.entries], dtype=np.int64)
     local, block = np.arange(p), np.arange(l)[:, None, None]
     cols = local + s.T[:, :, None]

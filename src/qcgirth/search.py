@@ -2,8 +2,10 @@
 
 The target is a canonical (3,L) exponent matrix that is girth-12 at some
 size Q <= q_cap and satisfies the two ordering conditions, with the row-2
-maximum as small as possible: the family's shortest member length is
-L * (2 * p2_max + 1), so p2_max is the cost that matters.
+maximum as small as possible.  The family's shortest member length is
+L * min_P, and min_P = max|S| + 1 (:meth:`CycleSpectrum.bound`) equals
+2·p2_max + 1 when the row-1 maximum sits in the row-2 argmax column (see
+:mod:`qcgirth.extension`), so p2_max is the cost annealing lowers.
 
 Greedy placement picks, column by column, the lexicographically smallest
 (p1, p2) pair with p1 <= p2 that keeps every cycle length through 10 open

@@ -20,6 +20,15 @@ def seed_path(seed_fixture_path):
     return str(seed_fixture_path)
 
 
+@pytest.fixture
+def formula_counterexample_path(tmp_path):
+    # passes all three conditions at Q = 43, but 2 * p2_max + 1 = 79 is not
+    # girth 12: a 10-cycle sums to 79, so the family starts at 80
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": [[0, 0, 0], [0, 8, 9], [0, 39, 25]]}))
+    return str(path)
+
+
 class TestVerify:
     def test_reference_seed_all_pass(self, seed_path):
         outcome = run(["verify", "--matrix", seed_path, "--q", "393"])
@@ -50,6 +59,22 @@ class TestVerify:
         assert outcome.exit_code == 1
         report = json.loads(outcome.stdout_payload)
         assert not report["cond2_elementwise"]
+
+    def test_bound_is_max_sum_plus_one(self, formula_counterexample_path):
+        outcome = run(["verify", "--matrix", formula_counterexample_path, "--q", "43"])
+        assert outcome.exit_code == 0
+        report = json.loads(outcome.stdout_payload)
+        assert (report["p2_max"], report["min_P"]) == (39, 80)
+
+    def test_zero_sum_seed_has_null_bound(self, tmp_path):
+        # a repeated row-2 value closes a 4-cycle at every P
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": [[0, 0, 0], [0, 1, 2], [0, 9, 9]]}))
+        outcome = run(["verify", "--matrix", str(path), "--q", "11"])
+        assert outcome.exit_code == 1
+        report = json.loads(outcome.stdout_payload)
+        assert not report["cond1_girth12"]
+        assert report["min_P"] is None
 
 
 class TestGirth:
@@ -101,26 +126,36 @@ class TestExtend:
         )
         assert outcome.exit_code == 2
 
-    def test_no_verify_flag(self, seed_path):
+    def test_family_starts_at_the_exact_bound(self, formula_counterexample_path, capsys):
+        argv = ["extend", "--matrix", formula_counterexample_path, "--q", "43", "--to", "90"]
+        assert run(argv + ["--from", "79"]).exit_code == 2
+        assert "79 < min_P=80" in capsys.readouterr().err
+        outcome = run(argv + ["--from", "80"])
+        assert outcome.exit_code == 0
+        manifest = json.loads(outcome.stdout_payload)
+        assert manifest["min_P"] == 80
+        assert {m["girth"] for m in manifest["members"]} == {12}
+        for p, girth in (("80", 12), ("79", 10)):
+            oracle = run(["girth", "--matrix", formula_counterexample_path, "--p", p, "--oracle"])
+            assert json.loads(oracle.stdout_payload)["girth"] == girth
+
+    @pytest.mark.parametrize("p_hi", [str(449 + 1_000_000), str(10 ** 20)])
+    def test_window_over_member_cap_is_budget_error(self, seed_path, p_hi, capsys):
+        # a 10**20-member window used to loop for hours building QcCode objects
+        outcome = run(
+            ["extend", "--matrix", seed_path, "--q", "393", "--from", "449", "--to", p_hi]
+        )
+        assert outcome.exit_code == 3
+        assert "cap of 1000000" in capsys.readouterr().err
+
+    def test_no_verify_flag_is_gone(self, seed_path):
         outcome = run(
             [
                 "extend", "--matrix", seed_path, "--q", "393",
                 "--from", "449", "--to", "452", "--no-verify",
             ]
         )
-        assert outcome.exit_code == 0
-        assert len(json.loads(outcome.stdout_payload)["members"]) == 4
-
-    @pytest.mark.parametrize("p_hi", [str(449 + 1_000_000), str(10 ** 20)])
-    @pytest.mark.parametrize("no_verify", [[], ["--no-verify"]])
-    def test_window_over_member_cap_is_budget_error(self, seed_path, p_hi, no_verify, capsys):
-        # a 10**20-member window used to loop for hours building QcCode objects
-        outcome = run(
-            ["extend", "--matrix", seed_path, "--q", "393", "--from", "449", "--to", p_hi]
-            + no_verify
-        )
-        assert outcome.exit_code == 3
-        assert "cap of 1000000" in capsys.readouterr().err
+        assert outcome.exit_code == 2
 
     def test_threads_flag_is_gone(self, seed_path):
         outcome = run(
@@ -191,6 +226,21 @@ class TestExport:
         assert outcome.exit_code == 0
         assert json.loads(outcome.stdout_payload)["written"] == str(target)
         assert import_alist(target.read_text()).n_cols == 42
+
+    @pytest.mark.parametrize("p", ["277778", "100000000"])
+    def test_code_over_edge_budget_is_budget_error(self, seed_path, tmp_path, p, capsys):
+        # 3 * 6 * P edges past the layout budget; P = 10**8 used to die
+        # allocating with a numpy memory-error traceback (exit 1)
+        target = tmp_path / "h.json"
+        outcome = run(
+            ["export", "--matrix", seed_path, "--p", p, "--format", "json", "--out", str(target)]
+        )
+        assert outcome.exit_code == 3
+        assert outcome.stdout_payload == ""
+        assert not target.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "5000000" in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:

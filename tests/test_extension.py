@@ -3,21 +3,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qcgirth import (
     CycleSpectrum,
     ExponentMatrix,
-    FamilyVerificationError,
+    QcCode,
     check_seed_conditions,
     extend_family,
     family_manifest,
-    find_cycle,
     girth_fast,
     girth_oracle,
     tightness_witness,
 )
 from qcgirth.cli import run
-from qcgirth.extension import _member_girth, _row_extremes
+from qcgirth.extension import _row_extremes
+from qcgirth.girth import ORACLE_EDGE_BUDGET
 
 from conftest import REPO_ROOT
 
@@ -26,7 +27,7 @@ def _plant_8_cycle_at_455(monkeypatch):
     """Tamper with the exponent sums: one 8-cycle sum becomes 455.
 
     Among P in 449..478 only 455 divides it, and Q=393 does not, so the seed
-    still certifies and exactly one family member is defective.
+    still passes the three conditions, but its bound max|S| + 1 rises to 456.
     """
     import qcgirth.girth as girth
 
@@ -39,6 +40,39 @@ def _plant_8_cycle_at_455(monkeypatch):
         return sums
 
     monkeypatch.setattr(girth, "exponent_sums", tampered)
+
+
+@st.composite
+def passing_seeds(draw, max_in_argmax_column=False):
+    """(seed, Q): a canonical (3, 2..5) seed passing all three conditions at
+    its smallest girth-12 size Q, or (seed, None) when some sum is zero.
+
+    Row 2 gets a unique maximum at a random column x, with a gap over the
+    other values of at least the row-1 maximum, and p1 < p2 column-wise.
+    With *max_in_argmax_column* the row-1 maximum also sits in column x.
+    """
+    l = draw(st.integers(2, 5))
+    distinct = st.lists(st.integers(1, 400), min_size=l - 1, max_size=l - 1, unique=True)
+    p1 = [0] + draw(distinct)
+    x = draw(st.integers(1, l - 1))
+    if max_in_argmax_column:
+        top = p1.index(max(p1))
+        p1[x], p1[top] = p1[top], p1[x]
+    p2 = [0] + [a + b for a, b in zip(p1[1:], draw(distinct))]
+    second = max(p2[v] for v in range(l) if v != x)
+    p2[x] = max(p2[x], second + max(p1) + draw(st.integers(0, 100)))
+    seed = ExponentMatrix.from_rows([[0] * l, p1, p2])
+    spectrum = CycleSpectrum(seed)
+    for q in range(p2[x] + 1, _sum_ceiling(seed) + 1):
+        if spectrum.shortest_cycle(q) is None:
+            return seed, q
+    return seed, None
+
+
+def _sum_ceiling(seed: ExponentMatrix) -> int:
+    """5 * p2_max: a 4- to 10-cycle adds at most five differences of entries
+    in [0, p2_max], so past this only a zero sum can close a cycle."""
+    return 5 * max(seed.entries[2])
 
 
 class TestCheckSeedConditions:
@@ -143,10 +177,14 @@ class TestExtendFamily:
             extend_family(m, 5, 11, 12)
 
     def test_verification_would_catch_a_bad_member(self, ref_seed, monkeypatch):
+        # the certificate refuses the window that would hold the bad member
         _plant_8_cycle_at_455(monkeypatch)
-        with pytest.raises(FamilyVerificationError, match="455") as info:
+        report = check_seed_conditions(ref_seed, 393)
+        assert report.all_pass
+        assert report.min_p == 456
+        with pytest.raises(ValueError, match="449 < min_P=456"):
             extend_family(ref_seed, 393, 449, 478)
-        assert info.value.girth == 8
+        assert len(extend_family(ref_seed, 393, 456, 478)) == 23
 
     def test_sampled_members_stay_girth_12(self, ref_seed):
         rng = random.Random(31)
@@ -154,6 +192,31 @@ class TestExtendFamily:
         for _ in range(20):
             p = rng.randint(report.min_p, report.min_p + 500)
             assert girth_fast(ref_seed, p).girth == 12
+
+
+class TestExactBound:
+    @settings(max_examples=60, deadline=None)
+    @given(passing_seeds())
+    def test_family_is_girth_12_from_min_p_and_not_below(self, case):
+        seed, q = case
+        assume(q is not None)  # some exponent sum is zero
+        report = check_seed_conditions(seed, q)
+        assert report.all_pass
+        assume(seed.rows * seed.cols * report.min_p <= ORACLE_EDGE_BUDGET)
+        assert girth_oracle(seed, report.min_p) == 12
+        assert girth_oracle(seed, report.min_p - 1) < 12
+        spectrum = CycleSpectrum(seed)
+        for p in range(report.min_p, _sum_ceiling(seed) + 1):
+            assert spectrum.shortest_cycle(p) is None, p
+
+    @settings(max_examples=100, deadline=None)
+    @given(passing_seeds(max_in_argmax_column=True))
+    def test_paper_formula_holds_with_row1_max_in_row2_argmax_column(self, case):
+        seed, q = case
+        assume(q is not None)
+        report = check_seed_conditions(seed, q)
+        assert report.all_pass
+        assert report.min_p == 2 * report.p2_max + 1
 
 
 class TestTightnessWitness:
@@ -166,26 +229,32 @@ class TestTightnessWitness:
         assert girth_fast(ref_seed, 448).girth == 8
 
     def test_small_example(self):
+        # row 1 steps 0, 1, 2 evenly: the 8-cycle on block-rows 0 and 1 through
+        # columns 0, 1, 2, 1 sums to 1 - 2 + 1 = 0 and closes at every P
         m = ExponentMatrix.from_rows([[0, 0, 0], [0, 1, 2], [0, 10, 7]])
-        w = tightness_witness(m)
-        assert w.modulus == 20
-        assert w.col_seq == (0, 1, 0, 1)
-        assert w.holds_for(m)
+        assert CycleSpectrum(m).bound() is None
+        with pytest.raises(ValueError, match="sum is zero"):
+            tightness_witness(m)
 
     def test_non_unique_maximum_falls_back(self):
-        # both off-zero columns carry the row-2 maximum; the direct
-        # construction is undefined but a generic 8-cycle search succeeds
+        # a repeated row-2 value closes a 4-cycle at every P (block-rows 0
+        # and 2, the two tied columns), so there is no bound
         m = ExponentMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 9, 9]])
-        w = tightness_witness(m)
-        assert w.length == 8
-        assert w.modulus == 18
-        assert w.holds_for(m)
-        assert find_cycle(m, 18, 8) == w
+        with pytest.raises(ValueError, match="sum is zero"):
+            tightness_witness(m)
 
     def test_zero_row2_rejected(self):
         m = ExponentMatrix.from_rows([[0, 0], [0, 0], [0, 0]])
-        with pytest.raises(ValueError, match="all zero"):
+        with pytest.raises(ValueError, match="sum is zero"):
             tightness_witness(m)
+
+    def test_unsound_formula_seed_is_tight_at_79(self):
+        # 2 * p2_max + 1 = 79, yet a 10-cycle closes there; the bound is 80
+        m = ExponentMatrix.from_rows([[0, 0, 0], [0, 8, 9], [0, 39, 25]])
+        w = tightness_witness(m)
+        assert (w.length, w.modulus) == (10, 79)
+        assert w.holds_for(m)
+        assert girth_oracle(m, 79) == 10
 
 
 class TestFamilyManifest:
@@ -200,8 +269,9 @@ class TestFamilyManifest:
 
     def test_reports_the_computed_girth(self, ref_seed, monkeypatch):
         _plant_8_cycle_at_455(monkeypatch)
-        codes = extend_family(ref_seed, 393, 454, 456, verify=False)
+        codes = [QcCode(ref_seed, p) for p in (454, 455, 456)]
         manifest = family_manifest(ref_seed, 393, codes)
+        assert manifest["min_P"] == 456
         assert [m["girth"] for m in manifest["members"]] == [12, 8, 12]
 
     def test_shared_spectrum_scans_each_length_once(self, ref_seed, monkeypatch):
@@ -226,22 +296,21 @@ class TestWholeFamilyCrossCheck:
     def test_matches_girth_fast_for_every_p_up_to_3000(self, ref_seed):
         spectrum = CycleSpectrum(ref_seed)
         for p in range(2, 3001):
-            assert _member_girth(spectrum, p) == girth_fast(ref_seed, p).girth, p
+            assert (spectrum.shortest_cycle(p) or 12) == girth_fast(ref_seed, p).girth, p
 
     def test_matches_oracle_across_and_below_the_family(self, ref_seed):
         # 449..478 is the 30-member family; below min_P = 449, short cycles
         # close wherever P divides an exponent sum (8-cycles at P = 448)
         spectrum = CycleSpectrum(ref_seed)
-        girths = {p: _member_girth(spectrum, p) for p in range(380, 479)}
+        girths = {p: spectrum.shortest_cycle(p) or 12 for p in range(380, 479)}
         assert girths[448] == 8
         assert set(girths[p] for p in range(449, 479)) == {12}
         for p, girth in girths.items():
             assert girth == girth_oracle(ref_seed, p), p
 
-    @pytest.mark.parametrize("flags", [[], ["--no-verify"]])
-    def test_cli_manifest_is_unchanged(self, seed_fixture_path, flags):
+    def test_cli_manifest_is_unchanged(self, seed_fixture_path):
         golden = REPO_ROOT / "tests" / "data" / "manifest_seed_3x6_q393_449_478.json"
         outcome = run(["extend", "--matrix", str(seed_fixture_path), "--q", "393",
-                       "--from", "449", "--to", "478", *flags])
+                       "--from", "449", "--to", "478"])
         assert outcome.exit_code == 0
         assert outcome.stdout_payload + "\n" == golden.read_text(encoding="utf-8")
