@@ -8,34 +8,39 @@ Layout (positions are 1-indexed, lines newline-terminated, single spaces):
     M row weights
     N lines: row positions of each column, zero-padded to max_col_weight
     M lines: column positions of each row, zero-padded to max_row_weight
+
+The reader splits each line on whitespace and reads every token with
+Python ``int``.  It accepts zero padding and unsorted positions; it rejects
+duplicate and out-of-range positions, a line whose nonzero count differs
+from its declared weight, and column lists that disagree with the row
+lists.  Each support block is checked as whole arrays; only when a check
+fails are its lines walked in file order, to report the first bad one.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain
+
+import numpy as np
 
 from .matrices import SparseBinaryMatrix
 
 
 def export_alist(matrix: SparseBinaryMatrix) -> str:
     """Serialize to alist text; empty rows/columns pad with zeros."""
-    col_supports = matrix.column_supports()
-    col_weights = [len(s) for s in col_supports]
-    row_weights = [len(s) for s in matrix.row_supports]
-    max_col = max(col_weights)
-    max_row = max(row_weights)
+    cols, gather = matrix.layout
+    m, n = matrix.n_rows, matrix.n_cols
+    row_lists = np.where(cols < n, cols + 1, 0).T
+    col_lists = np.where(gather < cols.size, gather % m + 1, 0).T
+    weights = [np.count_nonzero(a, axis=1)[None] for a in (col_lists, row_lists)]
+    blocks = map(_lines, weights + [col_lists, row_lists])
+    return f"{n} {m}\n{col_lists.shape[1]} {row_lists.shape[1]}\n" + "".join(blocks)
 
-    def padded(support, width):
-        vals = [str(i + 1) for i in support] + ["0"] * (width - len(support))
-        return " ".join(vals)
 
-    lines = [
-        f"{matrix.n_cols} {matrix.n_rows}",
-        f"{max_col} {max_row}",
-        " ".join(str(w) for w in col_weights),
-        " ".join(str(w) for w in row_weights),
-    ]
-    lines.extend(padded(s, max_col) for s in col_supports)
-    lines.extend(padded(s, max_row) for s in matrix.row_supports)
-    return "\n".join(lines) + "\n"
+def _lines(a: np.ndarray) -> str:
+    """One line per row of *a*, its entries separated by single spaces."""
+    line = " ".join(["%d"] * a.shape[1]) + "\n"
+    return (line * a.shape[0]) % tuple(a.ravel().tolist())
 
 
 def _int_fields(line: str, what: str) -> list[int]:
@@ -46,12 +51,7 @@ def _int_fields(line: str, what: str) -> list[int]:
 
 
 def import_alist(text: str) -> SparseBinaryMatrix:
-    """Parse alist text back into a SparseBinaryMatrix.
-
-    Strict: weights must match the listed positions and the column lists
-    must agree with the row lists.  Positions may appear unsorted but not
-    duplicated.
-    """
+    """Parse alist text back into a SparseBinaryMatrix, by the rules above."""
     lines = text.splitlines()
     if len(lines) < 4:
         raise ValueError("alist: fewer than 4 header lines")
@@ -70,20 +70,13 @@ def import_alist(text: str) -> SparseBinaryMatrix:
     if len(lines) < 4 + n + m:
         raise ValueError("alist: truncated support lists")
 
-    col_supports = [
-        _parse_support(lines[4 + j], col_weights[j], m, f"column {j + 1}")
-        for j in range(n)
-    ]
-    row_supports = [
-        _parse_support(lines[4 + n + i], row_weights[i], n, f"row {i + 1}")
-        for i in range(m)
-    ]
-
-    matrix = SparseBinaryMatrix(
-        m, n, tuple(tuple(sorted(s)) for s in row_supports)
-    )
-    derived_cols = [tuple(s) for s in matrix.column_supports()]
-    if derived_cols != [tuple(sorted(s)) for s in col_supports]:
+    col_of, row_in_col = _support_block(lines[4 : 4 + n], col_weights, m, "column")
+    row_of, col_in_row = _support_block(lines[4 + n : 4 + n + m], row_weights, n, "row")
+    flat = col_in_row.tolist()
+    ends = list(accumulate(row_weights))
+    rows = tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+    matrix = SparseBinaryMatrix(m, n, rows)
+    if not np.array_equal(np.sort(row_in_col * n + col_of), row_of * n + col_in_row):
         raise ValueError("alist: column lists disagree with row lists")
     return matrix
 
@@ -95,7 +88,29 @@ def _parse_pair(line: str, what: str) -> tuple[int, int]:
     return fields[0], fields[1]
 
 
-def _parse_support(line: str, weight: int, bound: int, what: str) -> list[int]:
+def _support_block(lines: list[str], weights: list[int], bound: int, what: str):
+    """(line, zero-based position) arrays of a block, sorted by line then position."""
+    tokens = [line.split() for line in lines]
+    try:
+        values = np.array(list(map(int, chain.from_iterable(tokens))), dtype=np.int64)
+    except (ValueError, OverflowError):  # a non-integer token, or a value past int64
+        values = None
+    if values is not None:
+        at = np.repeat(np.arange(len(lines)), list(map(len, tokens)))[values != 0]
+        pos = values[values != 0]
+        order = np.lexsort((pos, at))
+        at, pos = at[order], pos[order]
+        repeated = (at[1:] == at[:-1]) & (pos[1:] == pos[:-1])
+        counted = np.array_equal(np.bincount(at, minlength=len(lines)), weights)
+        if counted and (pos > 0).all() and (pos <= bound).all() and not repeated.any():
+            return at, pos - 1
+    for i, line in enumerate(lines):
+        _parse_support(line, weights[i], bound, f"{what} {i + 1}")
+    raise AssertionError(f"alist: {what} block check and line check disagree")
+
+
+def _parse_support(line: str, weight: int, bound: int, what: str) -> None:
+    """Raise the error of the first check that one support line fails, if any."""
     fields = _int_fields(line, what)
     positions = [f for f in fields if f != 0]
     if len(positions) != weight:
@@ -104,7 +119,6 @@ def _parse_support(line: str, weight: int, bound: int, what: str) -> list[int]:
         )
     if any(f < 0 for f in fields):
         raise ValueError(f"alist: negative position in {what}")
-    zero_based = []
     seen = set()
     for f in positions:
         if f > bound:
@@ -112,5 +126,3 @@ def _parse_support(line: str, weight: int, bound: int, what: str) -> list[int]:
         if f in seen:
             raise ValueError(f"alist: duplicate position {f} in {what}")
         seen.add(f)
-        zero_based.append(f - 1)
-    return zero_based

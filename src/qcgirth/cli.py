@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .alist import export_alist
@@ -34,6 +35,7 @@ class CommandOutcome:
     stdout_payload: str
 
 
+@lru_cache(maxsize=None)  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcgirth",

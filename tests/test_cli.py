@@ -313,7 +313,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("p", ["277778", "1099511627776"])
     def test_code_over_edge_budget_is_budget_error(self, seed_path, p, capsys):
-        # 3 * 6 * P edges past MAX_SIMULATE_EDGES; the layout used to die
+        # 3 * 6 * P edges past matrices.MAX_LAYOUT_EDGES; the layout used to die
         # allocating with a numpy memory-error traceback (exit 1)
         outcome = run(
             [
