@@ -19,7 +19,7 @@ from .alist import export_alist
 from .decoder import ChannelParams, monte_carlo, summaries_to_csv
 from .errors import BudgetError
 from .extension import check_seed_conditions, extend_family, family_manifest
-from .girth import GRAPH_BFS, CycleSpectrum, GirthReport, girth_fast, girth_oracle
+from .girth import GRAPH_BFS, GirthReport, girth_fast, girth_oracle
 from .matrices import QcCode, expand, load_matrix, matrix_to_json
 from .search import SearchConfig, find_certified_seed
 
@@ -62,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--q-cap", dest="q_cap", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--steps", dest="max_steps", type=int, default=SearchConfig.max_steps)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
 
     p = sub.add_parser("export", help="expand and write the parity-check matrix")
     p.add_argument("--matrix", required=True)
@@ -102,20 +102,13 @@ def _cmd_girth(args) -> CommandOutcome:
 
 def _cmd_extend(args) -> CommandOutcome:
     matrix = load_matrix(args.matrix)
-    # One spectrum: the seed's cycle table is scanned once per command.
-    spectrum = CycleSpectrum(matrix)
-    codes = extend_family(matrix, args.q, args.p_lo, args.p_hi, spectrum=spectrum)
-    manifest = family_manifest(matrix, args.q, codes, spectrum=spectrum)
+    codes = extend_family(matrix, args.q, args.p_lo, args.p_hi)
+    manifest = family_manifest(matrix, args.q, codes)
     return CommandOutcome(EXIT_OK, json.dumps(manifest, indent=2))
 
 
 def _cmd_search(args) -> CommandOutcome:
-    overrides = {}
-    if args.steps is not None:
-        overrides["max_steps"] = args.steps
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    cfg = SearchConfig(cols=args.cols, q_cap=args.q_cap, seed=args.seed, **overrides)
+    cfg = SearchConfig(args.cols, args.q_cap, args.seed, args.max_steps, args.restarts)
     matrix, q, report = find_certified_seed(cfg)
     payload = json.dumps(
         {"seed": matrix_to_json(matrix), "Q": q, "report": report.to_json_dict()},

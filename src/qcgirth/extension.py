@@ -13,7 +13,8 @@ a nonzero S only if P <= |S|); under that hypothesis it equals the formula.
 maximum makes the gap zero, which fails the condition for any nontrivial
 row 1 (the conservative reading).
 
-Girth questions go through one :class:`CycleSpectrum` of the seed: a (3,L)
+Girth questions read the seed's one spectrum, :attr:`ExponentMatrix.spectrum`,
+which scans each cycle table at most once whichever call asks first: a (3,L)
 matrix with L >= 2 always has 12-cycles (two columns and the three rows, or
 three columns and two rows, telescope to a zero sum), so its girth at P is
 the shortest length through 10 whose exponent sums P divides, else 12.
@@ -84,14 +85,11 @@ def _row_extremes(matrix: ExponentMatrix) -> tuple[int, int, int]:
     return max(row1), ordered[0], p2_second
 
 
-def check_seed_conditions(
-    matrix: ExponentMatrix, q: int, *, spectrum: CycleSpectrum | None = None
-) -> ConditionReport:
+def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
     """Evaluate the three extension conditions for a seed at size Q.
 
     Requires a canonical (3,L) matrix with all entries < Q; the guarantee
-    this report certifies is specific to column weight three.  Pass the
-    seed's *spectrum* to share its table scans with later calls.
+    this report certifies is specific to column weight three.
     """
     if matrix.rows != 3:
         raise ValueError(
@@ -105,16 +103,14 @@ def check_seed_conditions(
     if matrix.max_entry >= q:
         raise ValueError(f"entry {matrix.max_entry} is >= Q={q}")
 
-    return _condition_report(matrix, q, spectrum or CycleSpectrum(matrix))
+    return _condition_report(matrix, q)
 
 
-def _condition_report(
-    matrix: ExponentMatrix, q: int, spectrum: CycleSpectrum
-) -> ConditionReport:
+def _condition_report(matrix: ExponentMatrix, q: int) -> ConditionReport:
     """The three conditions for a (3,L) matrix at size Q, without validation."""
     p1_max, p2_max, p2_second = _row_extremes(matrix)
     # A single column is acyclic, not girth 12.
-    cond1 = matrix.cols >= 2 and spectrum.shortest_cycle(q) is None
+    cond1 = matrix.cols >= 2 and matrix.spectrum.shortest_cycle(q) is None
     cond2 = all(a <= b for a, b in zip(matrix.entries[1], matrix.entries[2]))
     cond3 = (p2_max - p2_second) >= p1_max
     return ConditionReport(
@@ -124,34 +120,24 @@ def _condition_report(
         p2_max=p2_max,
         p2_second=p2_second,
         p1_max=p1_max,
-        spectrum=spectrum,
+        spectrum=matrix.spectrum,
     )
 
 
-def extend_family(
-    matrix: ExponentMatrix,
-    q: int,
-    p_lo: int,
-    p_hi: int,
-    *,
-    spectrum: CycleSpectrum | None = None,
-) -> list[QcCode]:
+def extend_family(matrix: ExponentMatrix, q: int, p_lo: int, p_hi: int) -> list[QcCode]:
     """One code per circulant size in [p_lo, p_hi], all girth 12.
 
     The seed must pass :func:`check_seed_conditions` at Q and p_lo must be
     at or above its bound min_P = max|S| + 1, which no exponent sum S
-    reaches, so no member's P divides one.  Pass the seed's *spectrum* to
-    share its table scans with later calls.
-    Windows of more than MAX_FAMILY_MEMBERS sizes raise BudgetError before
-    any work starts.
+    reaches, so no member's P divides one.  Windows of more than
+    MAX_FAMILY_MEMBERS sizes raise BudgetError before any work starts.
     """
     if p_hi - p_lo + 1 > MAX_FAMILY_MEMBERS:
         raise BudgetError(
             f"P window {p_lo}..{p_hi} holds {p_hi - p_lo + 1} members, over the "
             f"cap of {MAX_FAMILY_MEMBERS}"
         )
-    spectrum = spectrum or CycleSpectrum(matrix)
-    report = check_seed_conditions(matrix, q, spectrum=spectrum)
+    report = check_seed_conditions(matrix, q)
     if not report.all_pass:
         raise ValueError(
             "seed fails the extension conditions: " + ", ".join(report.failures)
@@ -177,7 +163,7 @@ def tightness_witness(matrix: ExponentMatrix) -> CycleWitness:
         raise ValueError("tightness witness applies to (3,L) matrices with L >= 2 only")
     if not canonical_check(matrix).passed:
         raise ValueError("matrix must be canonical")
-    bound = CycleSpectrum(matrix).bound()
+    bound = matrix.spectrum.bound()
     if bound is None:
         raise ValueError("an exponent sum is zero: a cycle closes at every P, so no bound exists")
     return girth_fast(matrix, bound - 1).witness
@@ -189,23 +175,20 @@ def family_manifest(
     codes: list[QcCode],
     *,
     label: str | None = None,
-    spectrum: CycleSpectrum | None = None,
 ) -> dict:
     """JSON-ready manifest: seed, Q, bound and one entry per member.
 
-    Each member's girth is computed from the seed's exponent-sum spectrum;
-    pass the *spectrum* :func:`extend_family` used to avoid scanning again.
+    Each member's girth is computed from the seed's exponent-sum spectrum.
     """
-    spectrum = spectrum or CycleSpectrum(matrix)
     return {
         "seed": matrix_to_json(matrix, label),
         "Q": q,
-        "min_P": spectrum.bound(),
+        "min_P": matrix.spectrum.bound(),
         "members": [
             {
                 "P": code.circulant_size,
                 "N": code.block_length,
-                "girth": spectrum.shortest_cycle(code.circulant_size) or 12,
+                "girth": matrix.spectrum.shortest_cycle(code.circulant_size) or 12,
             }
             for code in codes
         ],

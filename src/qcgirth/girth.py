@@ -48,6 +48,7 @@ SUPPORTED_CYCLE_LENGTHS = (4, 6, 8, 10, 12)
 SHORT_CYCLE_LENGTHS = (4, 6, 8, 10)
 SEQUENCE_BUDGET = 5_000_000  # candidate sequences per enumerated length
 ORACLE_EDGE_BUDGET = 100_000  # edges of the expanded Tanner graph
+_NO_HITS = np.zeros(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -230,28 +231,21 @@ def find_cycle(matrix: ExponentMatrix, p: int, length: int) -> CycleWitness | No
     the lexicographically smallest canonical witness, or None.  Raises
     BudgetError past SEQUENCE_BUDGET (use the BFS oracle instead).
     """
-    _check_modulus(p)
-    sums = exponent_sums(matrix, length)
-    hits = np.flatnonzero(sums % p == 0)
-    if hits.size == 0:
-        return None
-    table = _cycle_table(matrix.rows, matrix.cols, length // 2)
-    terms = [int(t) for t in table[:, hits[0]]]
-    row_seq = tuple(t // (matrix.rows * matrix.cols) for t in terms)
-    col_seq = tuple(t % matrix.cols for t in terms)
-    return CycleWitness(length, row_seq, col_seq, p)
+    return matrix.spectrum.witness(p, length)
 
 
 class CycleSpectrum:
-    """Exponent-sum magnitudes of a matrix's candidate 4- to 10-cycles.
+    """Exponent-sum magnitudes of a matrix's candidate cycles, per length.
 
     Each length's table is scanned once, on first use, under the sequence
-    budget; after that a short-cycle question at any size P is a
-    divisor test on the sums.
+    budget; after that a cycle question at any size P is a divisor test on
+    the sums.  Read it as :attr:`ExponentMatrix.spectrum`, one per matrix.
     """
 
     def __init__(self, matrix: ExponentMatrix):
-        self._matrix = matrix
+        # An equal copy: a matrix and its spectrum form no reference cycle, so
+        # the sums are freed with the matrix, not at the next collection.
+        self._matrix = ExponentMatrix(matrix.entries)
         self._sums: dict[int, tuple[np.ndarray, int, int]] = {}
 
     def _scan(self, length: int) -> tuple[np.ndarray, int, int]:
@@ -261,15 +255,30 @@ class CycleSpectrum:
             self._sums[length] = sums, int(sums.min(initial=1)), int(sums.max(initial=0))
         return self._sums[length]
 
+    def _closing(self, p: int, length: int) -> np.ndarray:
+        """Table indices, in order, of the candidates of *length* closing at *p*."""
+        sums, lo, hi = self._scan(length)
+        # Only a zero sum or one of at least p can be a multiple of p.
+        return np.flatnonzero(sums % p == 0) if lo == 0 or hi >= p else _NO_HITS
+
     def shortest_cycle(self, p: int) -> int | None:
         """Shortest length through 10 with a cycle closing at size *p*, or None."""
         _check_modulus(p)
         for length in SHORT_CYCLE_LENGTHS:
-            sums, lo, hi = self._scan(length)
-            # Only a zero sum or one of at least p can be a multiple of p.
-            if (lo == 0 or hi >= p) and (sums % p == 0).any():
+            if self._closing(p, length).size:
                 return length
         return None
+
+    def witness(self, p: int, length: int) -> CycleWitness | None:
+        """The first cycle of *length* (4..12) in table order closing at *p*."""
+        _check_modulus(p)
+        hits = self._closing(p, length)
+        if not hits.size:
+            return None
+        j, l = self._matrix.rows, self._matrix.cols
+        terms = _cycle_table(j, l, length // 2)[:, hits[0]].tolist()
+        return CycleWitness(length, tuple(t // (j * l) for t in terms),
+                            tuple(t % l for t in terms), p)
 
     def bound(self) -> int | None:
         """Smallest P0 with no cycle through length 10 at any P >= P0.
@@ -286,18 +295,20 @@ class CycleSpectrum:
 def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
     """Girth from the exponent matrix alone (BFS fallback for odd shapes).
 
-    Scans lengths 4, 6, 8, 10 for a witness.  Finding none pins the girth
-    to exactly 12 for column-weight-three matrices with L >= 2 (such shapes
-    always contain 12-cycles); one-row or one-column matrices are acyclic;
-    any other shape defers to :func:`girth_oracle` because its girth may
+    The shortest cycle through length 10 that the matrix's spectrum closes
+    at *p*, with its witness.  Finding none pins the girth to exactly 12
+    for column-weight-three matrices with L >= 2 (such shapes always
+    contain 12-cycles); one-row or one-column matrices are acyclic; any
+    other shape defers to :func:`girth_oracle` because its girth may
     legitimately exceed 12.
     """
+    _check_modulus(p)
     if matrix.rows < 2 or matrix.cols < 2:
         return GirthReport(girth=None, method=EXPONENT_CHECK, witness=None)
-    for length in SHORT_CYCLE_LENGTHS:
+    length = matrix.spectrum.shortest_cycle(p)
+    if length is not None:
         witness = find_cycle(matrix, p, length)
-        if witness is not None:
-            return GirthReport(girth=length, method=EXPONENT_CHECK, witness=witness)
+        return GirthReport(girth=length, method=EXPONENT_CHECK, witness=witness)
     if matrix.rows == 3:
         return GirthReport(girth=12, method=EXPONENT_CHECK, witness=None)
     girth = girth_oracle(matrix, p)

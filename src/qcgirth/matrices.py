@@ -9,7 +9,9 @@ Entries may exceed P: a seed matrix found at one circulant size is reused at
 many sizes, and :func:`expand` reduces entries mod P.  Every expansion (the
 sparse matrix, the decoder's edges, the BFS oracle's Tanner graph) comes from
 the arrays of one numpy builder, :func:`qc_layout`.  All values here are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads; the cached
+``layout`` and ``spectrum`` are filled once on first use, and a race only
+computes the same value twice.
 """
 
 from __future__ import annotations
@@ -69,22 +71,28 @@ class ExponentMatrix:
     def max_entry(self) -> int:
         return max(max(row) for row in self.entries)
 
+    @cached_property
+    def spectrum(self) -> "CycleSpectrum":
+        """The matrix's one :class:`~qcgirth.girth.CycleSpectrum`, built once."""
+        from .girth import CycleSpectrum  # girth imports this module
+
+        return CycleSpectrum(self)
+
 
 @dataclass(frozen=True)
 class CanonicalReport:
     """Pass/fail report for the canonical form of an exponent matrix.
 
-    Canonical form: first row all zeros, first column all zeros, every
-    entry non-negative.
+    Canonical form: first row all zeros and first column all zeros (every
+    :class:`ExponentMatrix` entry is non-negative by construction).
     """
 
     first_row_zero: bool
     first_col_zero: bool
-    entries_nonnegative: bool
 
     @property
     def passed(self) -> bool:
-        return self.first_row_zero and self.first_col_zero and self.entries_nonnegative
+        return self.first_row_zero and self.first_col_zero
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -93,8 +101,6 @@ class CanonicalReport:
             out.append("first row not zero")
         if not self.first_col_zero:
             out.append("first column not zero")
-        if not self.entries_nonnegative:
-            out.append("negative entries")
         return tuple(out)
 
 
@@ -103,7 +109,6 @@ def canonical_check(matrix: ExponentMatrix) -> CanonicalReport:
     return CanonicalReport(
         first_row_zero=all(e == 0 for e in matrix.entries[0]),
         first_col_zero=all(row[0] == 0 for row in matrix.entries),
-        entries_nonnegative=all(e >= 0 for row in matrix.entries for e in row),
     )
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import SearchBudgetError
 from .extension import ConditionReport, _condition_report, check_seed_conditions
-from .girth import CycleSpectrum
 from .matrices import ExponentMatrix
 
 _MOVE_SPAN = 8  # single-entry perturbation offsets drawn from [-8, 8] \ {0}
@@ -54,7 +53,7 @@ class SearchConfig:
 
 
 def _cost(matrix: ExponentMatrix, cfg: SearchConfig) -> int:
-    report = _condition_report(matrix, cfg.q_cap, CycleSpectrum(matrix))
+    report = _condition_report(matrix, cfg.q_cap)
     return report.p2_max + _PENALTY_FACTOR * cfg.q_cap * len(report.failures)
 
 
@@ -73,7 +72,7 @@ def greedy_seed(cfg: SearchConfig) -> ExponentMatrix:
                 candidate = ExponentMatrix.from_rows(
                     [[0] * (len(p1s) + 1), p1s + [a], p2s + [b]]
                 )
-                if CycleSpectrum(candidate).shortest_cycle(cfg.q_cap):
+                if candidate.spectrum.shortest_cycle(cfg.q_cap):
                     continue
                 placed = (a, b)
                 break
@@ -164,16 +163,13 @@ def find_certified_seed(cfg: SearchConfig) -> tuple[ExponentMatrix, int, Conditi
         if candidate.entries in seen:
             continue
         seen.add(candidate.entries)
-        spectrum = CycleSpectrum(candidate)
-        flags = _condition_report(candidate, cfg.q_cap, spectrum)
+        flags = _condition_report(candidate, cfg.q_cap)
         if not (flags.cond2_elementwise and flags.cond3_gap):
             continue
         for q in range(max(2, candidate.max_entry + 1), cfg.q_cap + 1):
-            if spectrum.shortest_cycle(q) is None:
-                report = check_seed_conditions(candidate, q, spectrum=spectrum)
-                if report.all_pass:
-                    return candidate, q, report
-                break
+            # cond2 and cond3 do not depend on Q, so this report passes
+            if candidate.spectrum.shortest_cycle(q) is None:
+                return candidate, q, check_seed_conditions(candidate, q)
     raise SearchBudgetError(
         "search budget exhausted without a certified seed; "
         "increase q_cap / max_steps"

@@ -23,7 +23,8 @@ REFERENCE_SEED = ExponentMatrix.from_rows(
 
 @pytest.fixture
 def ref_seed() -> ExponentMatrix:
-    return REFERENCE_SEED
+    # a fresh equal matrix: no spectrum cached by an earlier test
+    return ExponentMatrix(REFERENCE_SEED.entries)
 
 
 @pytest.fixture

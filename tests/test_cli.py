@@ -108,6 +108,16 @@ class TestGirth:
         oracle = run(["girth", "--matrix", str(path), "--p", "101", "--oracle"])
         assert json.loads(oracle.stdout_payload)["girth"] == 12
 
+    @pytest.mark.parametrize("entries", [[[0, 1, 2]], [[0], [1], [2]]])
+    @pytest.mark.parametrize("p", ["0", "1", "-5", str(2 ** 59 + 1)])
+    def test_invalid_p_on_one_row_or_column_is_input_error(self, tmp_path, entries, p, capsys):
+        # the acyclic shortcut used to answer "girth": null before checking P
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({"rows": len(entries), "cols": len(entries[0]), "entries": entries}))
+        outcome = run(["girth", "--matrix", str(path), "--p", p])
+        assert outcome.exit_code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestExtend:
     def test_thirty_member_manifest(self, seed_path):
@@ -194,6 +204,11 @@ class TestSearch:
         outcome = run(["search", "--cols", "1", "--q-cap", "50", "--seed", "0"])
         assert outcome.exit_code == 2
         assert "cols=1" in capsys.readouterr().err
+
+    def test_zero_steps_is_input_error(self, capsys):
+        outcome = run(["search", "--cols", "3", "--q-cap", "50", "--seed", "0", "--steps", "0"])
+        assert outcome.exit_code == 2
+        assert "max_steps" in capsys.readouterr().err
 
     def test_budget_exhaustion_exit(self):
         outcome = run(

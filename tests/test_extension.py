@@ -12,6 +12,7 @@ from qcgirth import (
     check_seed_conditions,
     extend_family,
     family_manifest,
+    find_cycle,
     girth_fast,
     girth_oracle,
     tightness_witness,
@@ -20,7 +21,7 @@ from qcgirth.cli import run
 from qcgirth.extension import _row_extremes
 from qcgirth.girth import ORACLE_EDGE_BUDGET
 
-from conftest import REPO_ROOT
+from conftest import REFERENCE_SEED, REPO_ROOT
 
 
 def _plant_8_cycle_at_455(monkeypatch):
@@ -274,7 +275,7 @@ class TestFamilyManifest:
         assert manifest["min_P"] == 456
         assert [m["girth"] for m in manifest["members"]] == [12, 8, 12]
 
-    def test_shared_spectrum_scans_each_length_once(self, ref_seed, monkeypatch):
+    def test_shared_spectrum_scans_each_length_once(self, monkeypatch):
         import qcgirth.girth as girth
 
         real, calls = girth.exponent_sums, []
@@ -284,9 +285,13 @@ class TestFamilyManifest:
             return real(matrix, length, **kwargs)
 
         monkeypatch.setattr(girth, "exponent_sums", counted)
-        spectrum = CycleSpectrum(ref_seed)
-        codes = extend_family(ref_seed, 393, 449, 478, spectrum=spectrum)
-        family_manifest(ref_seed, 393, codes, spectrum=spectrum)
+        seed = ExponentMatrix(REFERENCE_SEED.entries)
+        assert check_seed_conditions(seed, 393).all_pass
+        codes = extend_family(seed, 393, 449, 478)
+        family_manifest(seed, 393, codes)
+        assert tightness_witness(seed).modulus == 448
+        assert girth_fast(seed, 448).girth == 8
+        assert find_cycle(seed, 448, 8) is not None
         assert calls == [4, 6, 8, 10]
 
 

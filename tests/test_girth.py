@@ -79,6 +79,39 @@ def _reference_cycle_table(j, l, k):
     return np.ascontiguousarray(terms.T)
 
 
+def _reference_find_cycle(matrix, p, length):
+    """find_cycle as one uncached scan per call: the first hit in table order."""
+    if not 2 <= p <= MAX_VALUE:
+        raise ValueError("modulus out of range")
+    hits = np.flatnonzero(exponent_sums(matrix, length) % p == 0)
+    if hits.size == 0:
+        return None
+    terms = [int(t) for t in _cycle_table(matrix.rows, matrix.cols, length // 2)[:, hits[0]]]
+    row_seq = tuple(t // (matrix.rows * matrix.cols) for t in terms)
+    return CycleWitness(length, row_seq, tuple(t % matrix.cols for t in terms), p)
+
+
+def _reference_girth_fast(matrix, p):
+    """girth_fast as a per-length loop over :func:`_reference_find_cycle`."""
+    if matrix.rows < 2 or matrix.cols < 2:
+        return GirthReport(None, EXPONENT_CHECK, None)
+    for length in (4, 6, 8, 10):
+        witness = _reference_find_cycle(matrix, p, length)
+        if witness is not None:
+            return GirthReport(length, EXPONENT_CHECK, witness)
+    if matrix.rows == 3:
+        return GirthReport(12, EXPONENT_CHECK, None)
+    return GirthReport(girth_oracle(matrix, p), GRAPH_BFS, None)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the BudgetError it raised."""
+    try:
+        return fn(*args)
+    except BudgetError as e:
+        return type(e)
+
+
 def _girth_every_root(matrix, p):
     """Reference girth: shortest cycle found by BFS from every vertex."""
     h = expand(QcCode(matrix, p))
@@ -426,12 +459,12 @@ class TestExponentSums:
             exponent_sums(WIDE, 10)
 
 
-def _matrices(rows, cols, max_entry):
-    """Exponent matrices of any entries (not canonical, possibly >= P)."""
+def _matrices(rows, cols, entries):
+    """Exponent matrices of any *entries* (not canonical, possibly >= P)."""
     grids = rows.flatmap(
         lambda j: cols.flatmap(
             lambda l: st.lists(
-                st.lists(st.integers(0, max_entry), min_size=l, max_size=l),
+                st.lists(entries, min_size=l, max_size=l),
                 min_size=j,
                 max_size=j,
             )
@@ -443,7 +476,7 @@ def _matrices(rows, cols, max_entry):
 class TestSpectrumProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
-        m=_matrices(st.integers(2, 4), st.integers(2, 4), 10 ** 6),
+        m=_matrices(st.integers(2, 4), st.integers(2, 4), st.integers(0, 10 ** 6)),
         p=st.integers(2, 500),
     )
     def test_shortest_cycle_matches_find_cycle_and_witnesses(self, m, p):
@@ -456,7 +489,35 @@ class TestSpectrumProperties:
         assert CycleSpectrum(m).shortest_cycle(p) == first
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(m=_matrices(st.just(3), st.integers(2, 5), 300), p=st.integers(2, 40))
+    @given(m=_matrices(st.just(3), st.integers(2, 5), st.integers(0, 300)), p=st.integers(2, 40))
     def test_three_row_girth_is_shortest_cycle_or_12(self, m, p):
         # (3,L) with L >= 2 always closes 12-cycles, L = 2 included
         assert (CycleSpectrum(m).shortest_cycle(p) or 12) == girth_oracle(m, p)
+
+
+class TestSpectrumWitness:
+    """find_cycle and girth_fast read the matrix's cached spectrum; the
+    references rescan the sums on every call."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        m=_matrices(
+            st.integers(2, 4),
+            st.integers(2, 5),
+            st.one_of(
+                st.integers(0, 10 ** 6),
+                st.just(MAX_VALUE),
+                st.integers(MAX_VALUE - 10 ** 6, MAX_VALUE),
+            ),
+        ),
+        ps=st.lists(
+            st.one_of(st.integers(2, 500), st.integers(MAX_VALUE - 1000, MAX_VALUE)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_find_cycle_and_girth_fast_match_the_uncached_references(self, m, ps):
+        for p in ps:
+            for length in (4, 6, 8, 10, 12):
+                assert find_cycle(m, p, length) == _reference_find_cycle(m, p, length)
+            assert _outcome(girth_fast, m, p) == _outcome(_reference_girth_fast, m, p)
