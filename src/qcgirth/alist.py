@@ -23,13 +23,19 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .matrices import SparseBinaryMatrix
+from .matrices import QcCode, SparseBinaryMatrix, qc_layout
 
 
-def export_alist(matrix: SparseBinaryMatrix) -> str:
-    """Serialize to alist text; empty rows/columns pad with zeros."""
-    cols, gather = matrix.layout
-    m, n = matrix.n_rows, matrix.n_cols
+def export_alist(matrix: SparseBinaryMatrix | QcCode) -> str:
+    """Serialize to alist text; empty rows/columns pad with zeros.
+
+    A :class:`QcCode` is written straight from :func:`qc_layout`, with no
+    row tuples in between.
+    """
+    if isinstance(matrix, QcCode):
+        (cols, gather), m, n = qc_layout(matrix), matrix.parity_rows, matrix.block_length
+    else:
+        (cols, gather), m, n = matrix.layout, matrix.n_rows, matrix.n_cols
     row_lists = np.where(cols < n, cols + 1, 0).T
     col_lists = np.where(gather < cols.size, gather % m + 1, 0).T
     weights = [np.count_nonzero(a, axis=1)[None] for a in (col_lists, row_lists)]

@@ -20,7 +20,7 @@ from .decoder import ChannelParams, monte_carlo, summaries_to_csv
 from .errors import BudgetError
 from .extension import check_seed_conditions, extend_family, family_manifest
 from .girth import GRAPH_BFS, GirthReport, girth_fast, girth_oracle
-from .matrices import QcCode, expand, load_matrix, matrix_to_json
+from .matrices import QcCode, load_matrix, matrix_to_json, qc_layout
 from .search import SearchConfig, find_certified_seed
 
 EXIT_OK = 0
@@ -100,11 +100,36 @@ def _cmd_girth(args) -> CommandOutcome:
     return CommandOutcome(EXIT_OK, json.dumps(report.to_json_dict(), indent=2))
 
 
+def _dumps_table(head: dict, key: str, item: str, values: list[int]) -> str:
+    """``json.dumps({**head, key: items}, indent=2)``, items from one template.
+
+    Every item is *item*, its ``%d`` fields filled from *values* in order,
+    in one ``%`` format (the idiom of ``alist._lines``): the indent encoder
+    of the standard library is pure Python and walks every value.
+    """
+    text = json.dumps({**head, key: []}, indent=2)
+    if not values:
+        return text
+    body = ",\n".join([item] * (len(values) // item.count("%d"))) % tuple(values)
+    return text[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}"
+
+
+# One manifest member as json.dumps(..., indent=2) lays it out in the list.
+_MEMBER = '    {\n      "P": %d,\n      "N": %d,\n      "girth": %d\n    }'
+
+
+def _manifest_json(manifest: dict) -> str:
+    """``json.dumps(manifest, indent=2)`` of a :func:`family_manifest`."""
+    head = {key: value for key, value in manifest.items() if key != "members"}
+    values = [v for m in manifest["members"] for v in (m["P"], m["N"], m["girth"])]
+    return _dumps_table(head, "members", _MEMBER, values)
+
+
 def _cmd_extend(args) -> CommandOutcome:
     matrix = load_matrix(args.matrix)
     codes = extend_family(matrix, args.q, args.p_lo, args.p_hi)
     manifest = family_manifest(matrix, args.q, codes)
-    return CommandOutcome(EXIT_OK, json.dumps(manifest, indent=2))
+    return CommandOutcome(EXIT_OK, _manifest_json(manifest))
 
 
 def _cmd_search(args) -> CommandOutcome:
@@ -118,24 +143,18 @@ def _cmd_search(args) -> CommandOutcome:
 
 
 def _cmd_export(args) -> CommandOutcome:
-    matrix = load_matrix(args.matrix)
-    h = expand(QcCode(matrix, args.p))
+    code = QcCode(load_matrix(args.matrix), args.p)
+    size = {"n_rows": code.parity_rows, "n_cols": code.block_length}
     if args.format == "alist":
-        text = export_alist(h)
+        text = export_alist(code)
     else:
-        text = json.dumps(
-            {
-                "n_rows": h.n_rows,
-                "n_cols": h.n_cols,
-                "row_supports": [list(s) for s in h.row_supports],
-            },
-            indent=2,
-        ) + "\n"
+        cols = qc_layout(code)[0]  # row r's columns are cols[:, r], ascending
+        row = "    [\n" + ",\n".join(["      %d"] * cols.shape[0]) + "\n    ]"
+        text = _dumps_table(size, "row_supports", row, cols.T.ravel().tolist()) + "\n"
     if args.out is None:
         return CommandOutcome(EXIT_OK, text.rstrip("\n"))
     Path(args.out).write_text(text, encoding="utf-8")
-    summary = {"written": args.out, "n_rows": h.n_rows, "n_cols": h.n_cols}
-    return CommandOutcome(EXIT_OK, json.dumps(summary))
+    return CommandOutcome(EXIT_OK, json.dumps({"written": args.out, **size}))
 
 
 def _cmd_simulate(args) -> CommandOutcome:

@@ -178,18 +178,18 @@ def family_manifest(
 ) -> dict:
     """JSON-ready manifest: seed, Q, bound and one entry per member.
 
-    Each member's girth is computed from the seed's exponent-sum spectrum.
+    The codes are members of *matrix*'s family: N is L·P, and the girth
+    column is one query of the seed's spectrum over all the members' sizes.
     """
+    sizes = [code.circulant_size for code in codes]
+    girths = matrix.spectrum.shortest_cycles(sizes)
+    girths[girths == 0] = 12
+    l = matrix.cols
     return {
         "seed": matrix_to_json(matrix, label),
         "Q": q,
         "min_P": matrix.spectrum.bound(),
         "members": [
-            {
-                "P": code.circulant_size,
-                "N": code.block_length,
-                "girth": matrix.spectrum.shortest_cycle(code.circulant_size) or 12,
-            }
-            for code in codes
+            {"P": p, "N": l * p, "girth": girth} for p, girth in zip(sizes, girths.tolist())
         ],
     }

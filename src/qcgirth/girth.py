@@ -20,7 +20,7 @@ Each cycle is enumerated once, as the lexicographically smallest
 (row_seq, col_seq) among its k rotations and k reflections.  A pair is that
 smallest exactly when row_seq is the smallest of its own orbit and col_seq
 is no larger than its image under each symmetry that fixes row_seq, so the
-tables are built one row sequence at a time (:func:`_cycle_table`).
+tables are built from the canonical row sequences alone (:func:`_cycle_table`).
 
 The oracle path expands the matrix, builds the bipartite Tanner graph and
 computes the exact girth by BFS.  It shares nothing with the enumeration
@@ -33,6 +33,7 @@ Girth values are even integers; ``None`` is the acyclic sentinel
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -163,12 +164,10 @@ def _cycle_table(j: int, l: int, k: int) -> np.ndarray | None:
     exists (fewer than two rows or columns, or odd k with fewer than three
     of either).
     """
-    row_seqs = [tuple(seq) for seq in _alternating_sequences(j, k).tolist()]
+    rows = _alternating_sequences(j, k)
     cols = _alternating_sequences(l, k).T.copy()
-    if not row_seqs or not cols.size:
+    if not rows.size or not cols.size:
         return None
-    digits = l ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    key = digits @ cols  # orders column sequences lexicographically
     # (row, column) index maps of the k rotations, identity first, and of the
     # k reflections: rows (r_t, r_{t-1}, ..) with columns (c_{t-1}, c_{t-2}, ..).
     shifts = [[(i + t) % k for i in range(k)] for t in range(k)]
@@ -176,18 +175,30 @@ def _cycle_table(j: int, l: int, k: int) -> np.ndarray | None:
         ([(t - i) % k for i in range(k)], [(t - 1 - i) % k for i in range(k)])
         for t in range(k)
     ]
-    blocks = []
-    for row_seq in row_seqs:
-        images = [(tuple(row_seq[i] for i in ridx), cidx) for ridx, cidx in symmetries]
-        if min(image for image, _ in images) < row_seq:
-            continue
-        keep = np.ones(cols.shape[1], dtype=bool)
-        for image, cidx in images[1:]:
-            if image == row_seq:
-                keep &= key <= digits @ cols[cidx]
-        r = np.array(row_seq, dtype=np.int64)
-        blocks.append(((r * j + np.roll(r, -1)) * l)[:, None] + cols[:, keep])
-    return np.ascontiguousarray(np.concatenate(blocks, axis=1))
+    # Keys ordering sequences lexicographically; row sequences with a smaller
+    # image are skipped in one mask.
+    place = np.arange(k - 1, -1, -1)
+    row_keys = np.stack([rows[:, ridx] @ j**place for ridx, _ in symmetries])
+    canonical = (row_keys >= row_keys[0]).all(axis=0)
+    # The symmetries fixing a row sequence (identity included) decide which
+    # column sequences it keeps: those no larger than each of their images.
+    fixing = (row_keys[:, canonical] == row_keys[0, canonical]).T
+    stabilizers, group = np.unique(fixing, axis=0, return_inverse=True)
+    col_keys = {
+        t: l**place @ cols[symmetries[t][1]] for t in np.flatnonzero(stabilizers.any(axis=0))
+    }
+    kept = [
+        np.flatnonzero(np.all([col_keys[0] <= col_keys[t] for t in np.flatnonzero(s)], axis=0))
+        for s in stabilizers
+    ]
+    group = group.ravel().tolist()
+    table = np.empty((k, sum(kept[g].size for g in group)), dtype=np.int64)
+    firsts = ((rows * j + np.roll(rows, -1, axis=1)) * l)[canonical]
+    at = 0
+    for first, g in zip(firsts, group):
+        np.add(first[:, None], cols[:, kept[g]], out=table[:, at : at + kept[g].size])
+        at += kept[g].size
+    return table
 
 
 def _sequence_count(j: int, l: int, k: int) -> int:
@@ -268,6 +279,23 @@ class CycleSpectrum:
             if self._closing(p, length).size:
                 return length
         return None
+
+    def shortest_cycles(self, ps: Sequence[int]) -> np.ndarray:
+        """:meth:`shortest_cycle` at each size of *ps*, 0 for None, in one query.
+
+        No size at or above :meth:`bound` closes a cycle through length 10,
+        so only the sizes below it reach the divisor test.
+        """
+        ps = np.asarray(ps, dtype=np.int64)
+        if ps.size:
+            _check_modulus(int(ps.min()))
+            _check_modulus(int(ps.max()))
+        bound = self.bound()
+        below = np.arange(ps.size) if bound is None else np.flatnonzero(ps < bound)
+        girth = np.zeros(ps.size, dtype=np.int64)
+        for i in below.tolist():
+            girth[i] = self.shortest_cycle(int(ps[i])) or 0
+        return girth
 
     def witness(self, p: int, length: int) -> CycleWitness | None:
         """The first cycle of *length* (4..12) in table order closing at *p*."""

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcgirth import QcCode, SparseBinaryMatrix, expand, export_alist, import_alist
 
-from conftest import random_canonical_matrix
+from conftest import qc_codes, random_canonical_matrix
 
 
 # Line-at-a-time reader and writer: the reference the array versions in
@@ -256,3 +256,10 @@ def test_weight_above_declared_max_rejected():
     text = "2 2\n1 1\n2 0\n1 1\n1 2\n0\n1\n2\n"
     with pytest.raises(ValueError, match="exceeds declared maximum"):
         import_alist(text)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(qc_codes())
+def test_code_export_equals_expansion_export(code):
+    # a QcCode is written straight from its qc_layout arrays
+    assert export_alist(code) == export_alist(expand(code))

@@ -7,10 +7,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qcgirth
-from qcgirth import import_alist, save_matrix
-from qcgirth.cli import run
+from qcgirth import (
+    ExponentMatrix,
+    QcCode,
+    expand,
+    export_alist,
+    extend_family,
+    family_manifest,
+    import_alist,
+    load_matrix,
+    save_matrix,
+)
+from qcgirth.cli import _manifest_json, run
 
 from conftest import REFERENCE_SEED, REPO_ROOT
 
@@ -177,6 +188,67 @@ class TestExtend:
         assert outcome.exit_code == 2
 
 
+def _certified_seeds():
+    """(matrix, Q, min_P) of the reference seed and of every search golden seed."""
+    golden = json.loads((REPO_ROOT / "tests/data/search_stdout_golden.json").read_text())
+    found = [json.loads(case["stdout"]) for case in golden]
+    return [(REFERENCE_SEED, 393, 449)] + [
+        (ExponentMatrix.from_rows(f["seed"]["entries"]), f["Q"], f["report"]["min_P"])
+        for f in found
+    ]
+
+
+CERTIFIED_SEEDS = _certified_seeds()
+
+
+@pytest.fixture(scope="module")
+def certified_seed_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("seeds")
+    paths = []
+    for i, (matrix, _, _) in enumerate(CERTIFIED_SEEDS):
+        save_matrix(root / f"seed{i}.json", matrix)
+        paths.append(str(root / f"seed{i}.json"))
+    return paths
+
+
+class TestManifestText:
+    """The extend payload is byte for byte json.dumps(manifest, indent=2)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        index=st.integers(0, len(CERTIFIED_SEEDS) - 1),
+        offset=st.integers(0, 3000),
+        width=st.integers(1, 400),
+    )
+    def test_extend_payload_is_json_dumps_of_the_manifest(
+        self, certified_seed_paths, index, offset, width
+    ):
+        matrix, q, min_p = CERTIFIED_SEEDS[index]
+        p_lo, p_hi = min_p + offset, min_p + offset + width - 1
+        outcome = run(["extend", "--matrix", certified_seed_paths[index], "--q", str(q),
+                       "--from", str(p_lo), "--to", str(p_hi)])
+        assert outcome.exit_code == 0
+        manifest = family_manifest(matrix, q, extend_family(matrix, q, p_lo, p_hi))
+        assert outcome.stdout_payload == json.dumps(manifest, indent=2)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        index=st.integers(0, len(CERTIFIED_SEEDS) - 1),
+        sizes=st.lists(st.integers(2, 700), max_size=80),
+    )
+    @example(index=0, sizes=[])
+    def test_manifest_text_below_the_bound(self, index, sizes):
+        matrix, q, _ = CERTIFIED_SEEDS[index]
+        manifest = family_manifest(matrix, q, [QcCode(matrix, p) for p in sizes])
+        assert _manifest_json(manifest) == json.dumps(manifest, indent=2)
+
+    def test_below_the_bound_lists_short_girths(self):
+        matrix, q, _ = CERTIFIED_SEEDS[0]
+        manifest = family_manifest(matrix, q, [QcCode(matrix, p) for p in range(2, 479)])
+        assert {m["girth"] for m in manifest["members"]} == {4, 6, 8, 10, 12}
+        assert _manifest_json(manifest) == json.dumps(manifest, indent=2)
+
+
 class TestSearch:
     def test_small_search(self):
         outcome = run(
@@ -241,6 +313,29 @@ class TestExport:
         assert outcome.exit_code == 0
         assert json.loads(outcome.stdout_payload)["written"] == str(target)
         assert import_alist(target.read_text()).n_cols == 42
+
+    @pytest.mark.parametrize("p", [449, 745, 4000])
+    def test_payloads_equal_the_expansion_reference(self, seed_path, tmp_path, p):
+        h = expand(QcCode(load_matrix(seed_path), p))
+        rows = [list(s) for s in h.row_supports]
+        expected = {
+            "alist": export_alist(h),
+            "json": json.dumps(
+                {"n_rows": h.n_rows, "n_cols": h.n_cols, "row_supports": rows}, indent=2
+            ) + "\n",
+        }
+        for fmt, text in expected.items():
+            argv = ["export", "--matrix", seed_path, "--p", str(p), "--format", fmt]
+            outcome = run(argv)
+            assert outcome.exit_code == 0
+            assert outcome.stdout_payload == text.rstrip("\n")
+            target = tmp_path / f"h.{fmt}"
+            outcome = run(argv + ["--out", str(target)])
+            assert outcome.exit_code == 0
+            assert target.read_bytes() == text.encode()
+            assert outcome.stdout_payload == json.dumps(
+                {"written": str(target), "n_rows": h.n_rows, "n_cols": h.n_cols}
+            )
 
     @pytest.mark.parametrize("p", ["277778", "100000000"])
     def test_code_over_edge_budget_is_budget_error(self, seed_path, tmp_path, p, capsys):
