@@ -31,7 +31,7 @@ from .girth import (
     girth_oracle,
 )
 from .gf2 import gf2_rank
-from .search import SearchConfig, anneal, find_certified_seed, greedy_seed
+from .search import SearchConfig, find_certified_seed
 from .matrices import (
     CanonicalReport,
     ExponentMatrix,
@@ -65,12 +65,10 @@ __all__ = [
     "SearchConfig",
     "SparseBinaryMatrix",
     "TrialSummary",
-    "anneal",
     "canonical_check",
     "check_seed_conditions",
     "decode_sp",
     "find_certified_seed",
-    "greedy_seed",
     "expand",
     "exponent_sums",
     "export_alist",

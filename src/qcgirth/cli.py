@@ -61,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a certified seed")
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--q-cap", dest="q_cap", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="accepted; does not change the result")
     p.add_argument("--steps", dest="max_steps", type=int, default=SearchConfig.max_steps)
-    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts, help="beam width")
 
     p = sub.add_parser("export", help="expand and write the parity-check matrix")
     p.add_argument("--matrix", required=True)

@@ -103,11 +103,6 @@ def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
     if matrix.max_entry >= q:
         raise ValueError(f"entry {matrix.max_entry} is >= Q={q}")
 
-    return _condition_report(matrix, q)
-
-
-def _condition_report(matrix: ExponentMatrix, q: int) -> ConditionReport:
-    """The three conditions for a (3,L) matrix at size Q, without validation."""
     p1_max, p2_max, p2_second = _row_extremes(matrix)
     # A single column is acyclic, not girth 12.
     cond1 = matrix.cols >= 2 and matrix.spectrum.shortest_cycle(q) is None

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,12 @@ import qcgirth
 from qcgirth import (
     ExponentMatrix,
     QcCode,
+    check_seed_conditions,
     expand,
     export_alist,
     extend_family,
     family_manifest,
+    girth_oracle,
     import_alist,
     load_matrix,
     save_matrix,
@@ -264,7 +267,7 @@ class TestSearch:
         assert payload["Q"] <= 200
 
     def test_stdout_matches_golden(self):
-        # written by the code before the condition path was folded
+        # recorded from the beam search; no case has a larger min_P than annealing gave
         golden = json.loads((REPO_ROOT / "tests/data/search_stdout_golden.json").read_text())
         assert len(golden) >= 5
         for case in golden:
@@ -282,11 +285,42 @@ class TestSearch:
         assert outcome.exit_code == 2
         assert "max_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q_cap", ["1", str(2**59 + 1), str(10**20)])
+    def test_q_cap_out_of_range_is_input_error(self, q_cap, capsys):
+        outcome = run(["search", "--cols", "3", "--q-cap", q_cap, "--seed", "0"])
+        assert outcome.exit_code == 2
+        assert "q_cap" in capsys.readouterr().err
+
     def test_budget_exhaustion_exit(self):
         outcome = run(
             ["search", "--cols", "3", "--q-cap", "2", "--seed", "0", "--steps", "10"]
         )
         assert outcome.exit_code == 3
+
+    def test_golden_seeds_certify_at_their_q(self):
+        for matrix, q, _ in CERTIFIED_SEEDS[1:]:
+            assert check_seed_conditions(matrix, q).all_pass
+            assert girth_oracle(matrix, q) == 12
+
+    def test_large_q_cap_is_quick(self):
+        t0 = time.perf_counter()
+        outcome = run(["search", "--cols", "3", "--q-cap", "100000", "--seed", "0",
+                       "--steps", "200", "--restarts", "1"])
+        assert outcome.exit_code == 0
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_window_past_the_cell_cap_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr("qcgirth.search._MAX_GRID_CELLS", 20)
+        outcome = run(["search", "--cols", "3", "--q-cap", "450", "--seed", "0"])
+        assert outcome.exit_code == 3
+        assert "cells" in capsys.readouterr().err
+
+    def test_steps_below_the_beam_exit(self, capsys):
+        # width 3 over 6 columns expands 1 + 3 * 4 = 13 partial seeds
+        argv = ["search", "--cols", "6", "--q-cap", "450", "--seed", "0", "--restarts", "3"]
+        assert run(argv + ["--steps", "12"]).exit_code == 3
+        assert "max_steps" in capsys.readouterr().err
+        assert run(argv + ["--steps", "13"]).exit_code == 0
 
 
 class TestExport:

@@ -2,20 +2,21 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcgirth import (
     ExponentMatrix,
     SearchBudgetError,
     SearchConfig,
-    anneal,
     check_seed_conditions,
     find_certified_seed,
     girth_fast,
     girth_oracle,
-    greedy_seed,
 )
-from qcgirth.search import _cost
+from qcgirth.search import _child_grid, _extended
 
 
 class TestSearchConfig:
@@ -32,70 +33,41 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
 
-
-class TestGreedySeed:
-    def test_single_column_is_zero_matrix(self):
-        m = greedy_seed(SearchConfig(cols=1, q_cap=10))
-        assert m.entries == ((0,), (0,), (0,))
-
-    def test_two_columns_lexicographic_minimum(self):
-        # independent derivation: scan (a, b) pairs in the same order and
-        # take the first whose expansion the BFS oracle certifies clean
-        # through length 10 (girth 12 or more)
-        q_cap = 50
-        expected = None
-        for a, b in itertools.product(range(q_cap), repeat=2):
-            if a > b:
-                continue
-            m = ExponentMatrix.from_rows([[0, 0], [0, a], [0, b]])
-            g = girth_oracle(m, q_cap)
-            if g is None or g >= 12:
-                expected = m
-                break
-        assert expected is not None
-        assert expected.entries[1][1] == 1  # two columns leave a=1 feasible
-        assert greedy_seed(SearchConfig(cols=2, q_cap=q_cap)) == expected
-
-    def test_output_reaches_girth_12_at_cap(self):
-        for cols, q_cap in ((3, 120), (4, 393)):
-            m = greedy_seed(SearchConfig(cols=cols, q_cap=q_cap))
-            assert girth_fast(m, q_cap).girth == 12
-
-    def test_keeps_row_order(self):
-        m = greedy_seed(SearchConfig(cols=4, q_cap=200))
-        assert all(a <= b for a, b in zip(m.entries[1], m.entries[2]))
-
-    def test_infeasible_cap_raises(self):
-        with pytest.raises(SearchBudgetError, match="q_cap too small"):
-            greedy_seed(SearchConfig(cols=3, q_cap=2))
-
-
-class TestAnneal:
-    def test_never_worse_than_feasible_start(self, ref_seed):
-        cfg = SearchConfig(cols=6, q_cap=393, seed=5, max_steps=400, restarts=2)
-        out = anneal(ref_seed, cfg)
-        assert _cost(out, cfg) <= _cost(ref_seed, cfg) == 224
-
-    def test_repairs_one_swap_order_violation(self):
-        bad = ExponentMatrix.from_rows([[0, 0], [0, 5], [0, 3]])
-        cfg = SearchConfig(cols=2, q_cap=50, seed=1, max_steps=300, restarts=2)
-        fixed = anneal(bad, cfg)
-        assert all(a <= b for a, b in zip(fixed.entries[1], fixed.entries[2]))
-
-    def test_deterministic(self):
-        cfg = SearchConfig(cols=3, q_cap=100, seed=3, max_steps=400, restarts=2)
-        start = greedy_seed(cfg)
-        assert anneal(start, cfg) == anneal(start, cfg)
-
-    def test_rejects_non_canonical_start(self):
-        cfg = SearchConfig(cols=2, q_cap=10)
-        with pytest.raises(ValueError, match="canonical"):
-            anneal(ExponentMatrix.from_rows([[0, 1], [0, 2], [0, 3]]), cfg)
-
     def test_rejects_single_column(self):
-        cfg = SearchConfig(cols=1, q_cap=10)
         with pytest.raises(ValueError, match="cols=1"):
-            anneal(greedy_seed(cfg), cfg)
+            SearchConfig(cols=1, q_cap=10)
+
+
+@st.composite
+def parents(draw):
+    """Canonical (3,L) matrices, L = 1..3, with free entries below 40."""
+    l = draw(st.integers(1, 3))
+    free = st.lists(st.integers(0, 39), min_size=l - 1, max_size=l - 1)
+    return ExponentMatrix.from_rows([[0] * l, [0, *draw(free)], [0, *draw(free)]])
+
+
+class TestChildGrid:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(parent=parents(), q=st.integers(2, 60), a0=st.integers(0, 60), b0=st.integers(0, 60))
+    def test_cells_match_the_extended_spectrum(self, parent, q, a0, b0):
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(a0, a0 + 8), np.arange(b0, b0 + 8)))
+        feasible, bound = _child_grid(parent, q, a, b)
+        for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+            spectrum = _extended(parent, ai, bi).spectrum
+            assert feasible[i] == (spectrum.shortest_cycle(q) is None)
+            if spectrum.bound() is not None:
+                assert bound[i] == spectrum.bound()
+
+    def test_two_columns_match_the_bfs_oracle(self):
+        # independent derivation: the BFS girth of every (0, a, b) second
+        # column at q, girth 12 or more exactly on the feasible cells
+        q = 30
+        root = ExponentMatrix.from_rows([[0], [0], [0]])
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(q), np.arange(q)))
+        feasible, _ = _child_grid(root, q, a, b)
+        for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+            assert feasible[i] == (girth_oracle(_extended(root, ai, bi), q) >= 12)
+        assert feasible.any() and not feasible.all()
 
 
 class TestFindCertifiedSeed:
@@ -122,8 +94,40 @@ class TestFindCertifiedSeed:
                 SearchConfig(cols=3, q_cap=2, seed=0, max_steps=50, restarts=1)
             )
 
+    def test_infeasible_cap_raises(self):
+        with pytest.raises(SearchBudgetError, match="q_cap too small"):
+            find_certified_seed(SearchConfig(cols=3, q_cap=2))
+
     def test_certified_seed_extends(self):
         cfg = SearchConfig(cols=4, q_cap=250, seed=2, max_steps=800, restarts=2)
         matrix, q, report = find_certified_seed(cfg)
         for p in range(report.min_p, report.min_p + 12):
             assert girth_fast(matrix, p).girth == 12
+
+    def test_output_reaches_girth_12_at_cap(self):
+        for cols, q_cap in ((3, 120), (4, 393)):
+            matrix, _, _ = find_certified_seed(SearchConfig(cols=cols, q_cap=q_cap, restarts=2))
+            assert girth_fast(matrix, q_cap).girth == 12
+
+    def test_columns_increase_in_row_2(self):
+        matrix, _, _ = find_certified_seed(SearchConfig(cols=5, q_cap=300, restarts=2))
+        row1, row2 = matrix.entries[1], matrix.entries[2]
+        assert all(a <= b for a, b in zip(row1, row2))
+        assert list(row2) == sorted(set(row2))
+
+    def test_seed_does_not_change_the_result(self):
+        results = {
+            find_certified_seed(SearchConfig(cols=4, q_cap=200, seed=s, restarts=2))[:2]
+            for s in (0, 3, 7)
+        }
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("cols, restarts", [(2, 1), (4, 2), (6, 3)])
+    def test_budget_counts_expanded_partial_seeds(self, cols, restarts):
+        # the root grows column 2, then the full beam grows each later column
+        needed = 1 + restarts * (cols - 2)
+        cfg = dict(cols=cols, q_cap=450, restarts=restarts)
+        find_certified_seed(SearchConfig(**cfg, max_steps=needed))
+        if needed > 1:
+            with pytest.raises(SearchBudgetError, match="max_steps"):
+                find_certified_seed(SearchConfig(**cfg, max_steps=needed - 1))
