@@ -14,6 +14,7 @@ from .decoder import (
 from .errors import BudgetError, SearchBudgetError
 from .extension import (
     ConditionReport,
+    QcFamily,
     check_seed_conditions,
     extend_family,
     family_manifest,
@@ -61,6 +62,7 @@ __all__ = [
     "GRAPH_BFS",
     "GirthReport",
     "QcCode",
+    "QcFamily",
     "SearchBudgetError",
     "SearchConfig",
     "SparseBinaryMatrix",

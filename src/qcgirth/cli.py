@@ -18,7 +18,7 @@ from pathlib import Path
 from .alist import export_alist
 from .decoder import ChannelParams, monte_carlo, summaries_to_csv
 from .errors import BudgetError
-from .extension import check_seed_conditions, extend_family, family_manifest
+from .extension import check_seed_conditions, extend_family, family_columns, family_manifest
 from .girth import GRAPH_BFS, GirthReport, girth_fast, girth_oracle
 from .matrices import QcCode, load_matrix, matrix_to_json, qc_layout
 from .search import SearchConfig, find_certified_seed
@@ -118,18 +118,21 @@ def _dumps_table(head: dict, key: str, item: str, values: list[int]) -> str:
 _MEMBER = '    {\n      "P": %d,\n      "N": %d,\n      "girth": %d\n    }'
 
 
-def _manifest_json(manifest: dict) -> str:
-    """``json.dumps(manifest, indent=2)`` of a :func:`family_manifest`."""
-    head = {key: value for key, value in manifest.items() if key != "members"}
-    values = [v for m in manifest["members"] for v in (m["P"], m["N"], m["girth"])]
+def _manifest_json(matrix, q: int, sizes) -> str:
+    """``json.dumps(family_manifest(...), indent=2)`` of the members at *sizes*.
+
+    The text is written from the :func:`family_columns` rows; no member or
+    per-member dict is built.
+    """
+    head = family_manifest(matrix, q, [])  # seed, Q and min_P, with no members
+    values = family_columns(matrix, sizes).ravel().tolist()
     return _dumps_table(head, "members", _MEMBER, values)
 
 
 def _cmd_extend(args) -> CommandOutcome:
     matrix = load_matrix(args.matrix)
-    codes = extend_family(matrix, args.q, args.p_lo, args.p_hi)
-    manifest = family_manifest(matrix, args.q, codes)
-    return CommandOutcome(EXIT_OK, _manifest_json(manifest))
+    family = extend_family(matrix, args.q, args.p_lo, args.p_hi)
+    return CommandOutcome(EXIT_OK, _manifest_json(matrix, args.q, family.sizes))
 
 
 def _cmd_search(args) -> CommandOutcome:

@@ -22,13 +22,16 @@ the shortest length through 10 whose exponent sums P divides, else 12.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import BudgetError
 from .girth import CycleSpectrum, CycleWitness, girth_fast
-from .matrices import ExponentMatrix, QcCode, canonical_check, matrix_to_json
+from .matrices import MAX_VALUE, ExponentMatrix, QcCode, canonical_check, matrix_to_json
 
-MAX_FAMILY_MEMBERS = 1_000_000  # largest P window one extend_family call builds
+MAX_FAMILY_MEMBERS = 1_000_000  # largest P window one extend_family call accepts
 
 
 @dataclass(frozen=True)
@@ -119,13 +122,34 @@ def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
     )
 
 
-def extend_family(matrix: ExponentMatrix, q: int, p_lo: int, p_hi: int) -> list[QcCode]:
-    """One code per circulant size in [p_lo, p_hi], all girth 12.
+@dataclass(frozen=True)
+class QcFamily(Sequence[QcCode]):
+    """The read-only members of one seed's family, one per size in *sizes*.
+
+    A member is built only when it is read; a slice is the family over the
+    sliced range.
+    """
+
+    seed: ExponentMatrix
+    sizes: range
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return QcFamily(self.seed, self.sizes[index])
+        return QcCode(self.seed, self.sizes[index])
+
+
+def extend_family(matrix: ExponentMatrix, q: int, p_lo: int, p_hi: int) -> QcFamily:
+    """The family of one code per circulant size in [p_lo, p_hi], all girth 12.
 
     The seed must pass :func:`check_seed_conditions` at Q and p_lo must be
     at or above its bound min_P = max|S| + 1, which no exponent sum S
     reaches, so no member's P divides one.  Windows of more than
-    MAX_FAMILY_MEMBERS sizes raise BudgetError before any work starts.
+    MAX_FAMILY_MEMBERS sizes raise BudgetError before any work starts, and
+    a window past MAX_VALUE raises ValueError.  No member is built here.
     """
     if p_hi - p_lo + 1 > MAX_FAMILY_MEMBERS:
         raise BudgetError(
@@ -144,7 +168,10 @@ def extend_family(matrix: ExponentMatrix, q: int, p_lo: int, p_hi: int) -> list[
         )
     if p_hi < p_lo:
         raise ValueError(f"empty range: {p_hi} < {p_lo}")
-    return [QcCode(matrix, p) for p in range(p_lo, p_hi + 1)]
+    sizes = range(p_lo, p_hi + 1)
+    if sizes[-1] > MAX_VALUE:
+        QcCode(matrix, max(sizes[0], MAX_VALUE + 1))  # raises for the first size past it
+    return QcFamily(matrix, sizes)
 
 
 def tightness_witness(matrix: ExponentMatrix) -> CycleWitness:
@@ -164,27 +191,41 @@ def tightness_witness(matrix: ExponentMatrix) -> CycleWitness:
     return girth_fast(matrix, bound - 1).witness
 
 
+def family_columns(matrix: ExponentMatrix, sizes: Sequence[int]) -> np.ndarray:
+    """The (P, N, girth) rows of the members of *matrix*'s family at *sizes*.
+
+    N is L·P, exact in int64 because the cycle tables stop at L = 12, and
+    the girth column is one query of the seed's spectrum over all sizes.
+    """
+    if isinstance(sizes, range):
+        ps = np.arange(sizes.start, sizes.stop, sizes.step, dtype=np.int64)
+    else:
+        ps = np.array(sizes, dtype=np.int64)
+    girths = matrix.spectrum.shortest_cycles(ps)
+    girths[girths == 0] = 12
+    return np.column_stack([ps, matrix.cols * ps, girths])
+
+
 def family_manifest(
     matrix: ExponentMatrix,
     q: int,
-    codes: list[QcCode],
+    codes: Sequence[QcCode],
     *,
     label: str | None = None,
 ) -> dict:
     """JSON-ready manifest: seed, Q, bound and one entry per member.
 
-    The codes are members of *matrix*'s family: N is L·P, and the girth
-    column is one query of the seed's spectrum over all the members' sizes.
+    The codes are members of *matrix*'s family, and the entries are the rows
+    of :func:`family_columns`; a :class:`QcFamily` gives its sizes as its
+    range, without building a member.
     """
-    sizes = [code.circulant_size for code in codes]
-    girths = matrix.spectrum.shortest_cycles(sizes)
-    girths[girths == 0] = 12
-    l = matrix.cols
+    sizes = codes.sizes if isinstance(codes, QcFamily) else [c.circulant_size for c in codes]
     return {
         "seed": matrix_to_json(matrix, label),
         "Q": q,
         "min_P": matrix.spectrum.bound(),
         "members": [
-            {"P": p, "N": l * p, "girth": girth} for p, girth in zip(sizes, girths.tolist())
+            {"P": p, "N": n, "girth": girth}
+            for p, n, girth in family_columns(matrix, sizes).tolist()
         ],
     }

@@ -28,6 +28,19 @@ def ref_seed() -> ExponentMatrix:
 
 
 @pytest.fixture
+def built_codes(monkeypatch) -> list[int]:
+    """The circulant size of every QcCode built while the test runs."""
+    built, real = [], QcCode.__post_init__
+
+    def counted(self):
+        built.append(self.circulant_size)
+        real(self)
+
+    monkeypatch.setattr(QcCode, "__post_init__", counted)
+    return built
+
+
+@pytest.fixture
 def seed_fixture_path() -> Path:
     return REPO_ROOT / "fixtures" / "seed_3x6.json"
 

@@ -172,6 +172,28 @@ class TestExtend:
         assert outcome.exit_code == 3
         assert "cap of 1000000" in capsys.readouterr().err
 
+    def test_window_past_max_value_is_input_error(self, seed_path, capsys):
+        outcome = run(
+            [
+                "extend", "--matrix", seed_path, "--q", "393",
+                "--from", "576460752303423487", "--to", "576460752303423489",
+            ]
+        )
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err == (
+            "error: circulant size must be an integer in [2, 576460752303423488], "
+            "got 576460752303423489\n"
+        )
+
+    def test_full_cap_builds_no_member(self, seed_path, built_codes):
+        outcome = run(
+            ["extend", "--matrix", seed_path, "--q", "393", "--from", "449", "--to", "1000448"]
+        )
+        assert outcome.exit_code == 0
+        assert outcome.stdout_payload.endswith('"P": 1000448,\n      "N": 6002688,\n'
+                                               '      "girth": 12\n    }\n  ]\n}')
+        assert built_codes == []
+
     def test_no_verify_flag_is_gone(self, seed_path):
         outcome = run(
             [
@@ -243,13 +265,14 @@ class TestManifestText:
     def test_manifest_text_below_the_bound(self, index, sizes):
         matrix, q, _ = CERTIFIED_SEEDS[index]
         manifest = family_manifest(matrix, q, [QcCode(matrix, p) for p in sizes])
-        assert _manifest_json(manifest) == json.dumps(manifest, indent=2)
+        assert _manifest_json(matrix, q, sizes) == json.dumps(manifest, indent=2)
 
     def test_below_the_bound_lists_short_girths(self):
         matrix, q, _ = CERTIFIED_SEEDS[0]
-        manifest = family_manifest(matrix, q, [QcCode(matrix, p) for p in range(2, 479)])
+        sizes = list(range(2, 479))
+        manifest = family_manifest(matrix, q, [QcCode(matrix, p) for p in sizes])
         assert {m["girth"] for m in manifest["members"]} == {4, 6, 8, 10, 12}
-        assert _manifest_json(manifest) == json.dumps(manifest, indent=2)
+        assert _manifest_json(matrix, q, sizes) == json.dumps(manifest, indent=2)
 
 
 class TestSearch:

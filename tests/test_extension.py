@@ -9,6 +9,7 @@ from qcgirth import (
     CycleSpectrum,
     ExponentMatrix,
     QcCode,
+    QcFamily,
     check_seed_conditions,
     extend_family,
     family_manifest,
@@ -18,7 +19,7 @@ from qcgirth import (
     tightness_witness,
 )
 from qcgirth.cli import run
-from qcgirth.extension import _row_extremes
+from qcgirth.extension import MAX_FAMILY_MEMBERS, _row_extremes
 from qcgirth.girth import ORACLE_EDGE_BUDGET
 
 from conftest import REFERENCE_SEED, REPO_ROOT
@@ -193,6 +194,63 @@ class TestExtendFamily:
         for _ in range(20):
             p = rng.randint(report.min_p, report.min_p + 500)
             assert girth_fast(ref_seed, p).girth == 12
+
+
+class TestFamilySequence:
+    """extend_family's range-backed family reads like the list of its members."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lo=st.integers(449, 5000),
+        width=st.integers(1, 40),
+        index=st.integers(-45, 45),
+        window=st.tuples(
+            st.none() | st.integers(-45, 45),
+            st.none() | st.integers(-45, 45),
+            st.none() | st.integers(-5, 5).filter(bool),
+        ),
+    )
+    def test_reads_like_the_list_of_members(self, lo, width, index, window):
+        hi = lo + width - 1
+        codes = extend_family(REFERENCE_SEED, 393, lo, hi)
+        reference = [QcCode(REFERENCE_SEED, p) for p in range(lo, hi + 1)]
+        assert isinstance(codes, QcFamily)
+        assert codes.sizes == range(lo, hi + 1)
+        assert len(codes) == len(reference)
+        if -width <= index < width:
+            assert codes[index] == reference[index]
+        else:
+            with pytest.raises(IndexError):
+                codes[index]
+        part = slice(*window)
+        assert list(codes[part]) == reference[part]
+        assert list(codes[width:]) == [] == list(codes[::-1][width:])
+        assert list(codes) == reference
+        assert list(reversed(codes)) == reference[::-1]
+        assert all(code in codes for code in reference)
+        other = ExponentMatrix.from_rows([[0, 0], [0, 1], [0, 3]])
+        for outsider in (QcCode(REFERENCE_SEED, lo - 1), QcCode(REFERENCE_SEED, hi + 1),
+                         QcCode(other, lo), lo, None):
+            assert (outsider in codes) is (outsider in reference) is False
+
+    def test_full_window_builds_no_member(self, built_codes):
+        hi = 449 + MAX_FAMILY_MEMBERS - 1
+        codes = extend_family(REFERENCE_SEED, 393, 449, hi)
+        assert len(codes) == MAX_FAMILY_MEMBERS
+        assert built_codes == []
+        members = family_manifest(REFERENCE_SEED, 393, codes)["members"]
+        assert built_codes == []
+        assert members[-1] == {"P": hi, "N": 6 * hi, "girth": 12}
+        assert codes[-1].block_length == 6 * hi
+        assert built_codes == [hi]
+
+    def test_window_past_max_value_raises_for_its_first_size(self, ref_seed):
+        top = 2**59
+        with pytest.raises(ValueError, match=f"got {top + 1}$"):
+            extend_family(ref_seed, 393, top - 1, top + 1)
+        with pytest.raises(ValueError, match=f"got {top + 3}$"):
+            extend_family(ref_seed, 393, top + 3, top + 8)
+        assert extend_family(ref_seed, 393, top - 1, top)[-1].circulant_size == top
 
 
 class TestExactBound:
