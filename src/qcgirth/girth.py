@@ -269,8 +269,11 @@ class CycleSpectrum:
     def _closing(self, p: int, length: int) -> np.ndarray:
         """Table indices, in order, of the candidates of *length* closing at *p*."""
         sums, lo, hi = self._scan(length)
-        # Only a zero sum or one of at least p can be a multiple of p.
-        return np.flatnonzero(sums % p == 0) if lo == 0 or hi >= p else _NO_HITS
+        first = -(-lo // p) * p  # the smallest multiple of p that is >= min|S|
+        if first > hi:
+            return _NO_HITS
+        # One multiple in [min|S|, max|S|] needs an equality test, not a modulo.
+        return np.flatnonzero(sums == first if first + p > hi else sums % p == 0)
 
     def shortest_cycle(self, p: int) -> int | None:
         """Shortest length through 10 with a cycle closing at size *p*, or None."""

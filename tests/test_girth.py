@@ -557,3 +557,39 @@ class TestWindowQuery:
     def test_window_rejects_a_size_out_of_range(self, ref_seed, ps):
         with pytest.raises(ValueError, match="modulus"):
             CycleSpectrum(ref_seed).shortest_cycles(ps)
+
+
+@st.composite
+def _divisor_matrices(draw):
+    """Canonical or free 2..4 x 2..5 matrices, some with a repeated column (a zero sum)."""
+    top = draw(st.sampled_from([20, 10 ** 4, MAX_VALUE]))
+    rows = [list(row) for row in draw(
+        _matrices(st.integers(2, 4), st.integers(2, 5), st.integers(0, top))).entries]
+    if draw(st.booleans()):
+        rows = [[0] * len(rows[0])] + [[0] + row[1:] for row in rows[1:]]
+    if draw(st.booleans()):
+        c = draw(st.integers(1, len(rows[0]) - 1))
+        for row in rows:
+            row[c] = row[c - 1]
+    return ExponentMatrix.from_rows(rows)
+
+
+class TestDivisorTest:
+    """The divisor test by the number of multiples of p in [min|S|, max|S|]:
+    none, one (an equality test) or more (a modulo), against the modulo alone."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(m=_divisor_matrices())
+    def test_matches_the_modulo_at_the_edges_of_every_length(self, m):
+        spectrum = CycleSpectrum(m)
+        lengths = (4, 6, 8, 10, 12)
+        ps = set()
+        for length in lengths:
+            sums = np.abs(exponent_sums(m, length))
+            if sums.size:
+                lo, hi = int(sums.min()), int(sums.max())
+                ps |= {lo - 1, lo, lo + 1, hi // 2, hi // 2 + 1, hi, hi + 1}
+        for p in sorted(p for p in ps if 2 <= p <= MAX_VALUE):
+            assert spectrum.shortest_cycle(p) == (_reference_shortest_cycle(m, p) or None), p
+            for n in lengths:
+                assert spectrum.witness(p, n) == _reference_find_cycle(m, p, n), (p, n)
