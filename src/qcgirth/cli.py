@@ -20,7 +20,7 @@ from .decoder import ChannelParams, monte_carlo, summaries_to_csv
 from .errors import BudgetError
 from .extension import check_seed_conditions, extend_family, family_columns, family_manifest
 from .girth import GRAPH_BFS, GirthReport, girth_fast, girth_oracle
-from .matrices import ExponentMatrix, QcCode, load_matrix, matrix_to_json, qc_layout
+from .matrices import QcCode, load_matrix, matrix_to_json, qc_layout
 from .search import SearchConfig, find_certified_seed
 
 EXIT_OK = 0
@@ -83,34 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=4)
-def _intern(matrix: ExponentMatrix) -> ExponentMatrix:
-    return matrix
-
-
-def _load(path: str) -> ExponentMatrix:
-    """The matrix in the file at *path*, as the first equal one loaded.
-
-    The file is read on every call, and its matrix is looked up among the
-    last four distinct matrices loaded (the key is the entries, never the
-    path), so repeated commands on one seed read one cached ``spectrum``
-    and a rewritten file gets a fresh one.
-
-    A spectrum holds one int64 sum per candidate of each length 4..10 it
-    scanned, and no length scans more than SEQUENCE_BUDGET = 5,000,000
-    candidates, so the cache retains at most 4 * 4 * 40 MB = 640 MB.
-    """
-    return _intern(load_matrix(path))
-
-
 def _cmd_verify(args) -> CommandOutcome:
-    report = check_seed_conditions(_load(args.matrix), args.q)
+    report = check_seed_conditions(load_matrix(args.matrix), args.q)
     payload = json.dumps(report.to_json_dict(), indent=2)
     return CommandOutcome(EXIT_OK if report.all_pass else EXIT_VERIFICATION, payload)
 
 
 def _cmd_girth(args) -> CommandOutcome:
-    matrix = _load(args.matrix)
+    matrix = load_matrix(args.matrix)
     if args.oracle:
         report = GirthReport(
             girth=girth_oracle(matrix, args.p), method=GRAPH_BFS, witness=None
@@ -150,7 +130,7 @@ def _manifest_json(matrix, q: int, sizes) -> str:
 
 
 def _cmd_extend(args) -> CommandOutcome:
-    matrix = _load(args.matrix)
+    matrix = load_matrix(args.matrix)
     family = extend_family(matrix, args.q, args.p_lo, args.p_hi)
     return CommandOutcome(EXIT_OK, _manifest_json(matrix, args.q, family.sizes))
 
@@ -166,7 +146,7 @@ def _cmd_search(args) -> CommandOutcome:
 
 
 def _cmd_export(args) -> CommandOutcome:
-    code = QcCode(_load(args.matrix), args.p)
+    code = QcCode(load_matrix(args.matrix), args.p)
     size = {"n_rows": code.parity_rows, "n_cols": code.block_length}
     if args.format == "alist":
         text = export_alist(code)
@@ -181,7 +161,7 @@ def _cmd_export(args) -> CommandOutcome:
 
 
 def _cmd_simulate(args) -> CommandOutcome:
-    matrix = _load(args.matrix)
+    matrix = load_matrix(args.matrix)
     code = QcCode(matrix, args.p)
     rate = 1.0 - matrix.rows / matrix.cols
     if not 0.0 < rate < 1.0:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from qcgirth import ExponentMatrix, QcCode, cli
+from qcgirth import ExponentMatrix, QcCode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,13 +19,6 @@ REFERENCE_SEED = ExponentMatrix.from_rows(
         [0, 19, 62, 107, 170, 224],
     ]
 )
-
-
-@pytest.fixture(autouse=True)
-def no_interned_matrices():
-    # cli.run reuses the spectrum of an equal matrix loaded earlier; one built
-    # under another test's monkeypatch must not answer this test's commands
-    cli._intern.cache_clear()
 
 
 @pytest.fixture
@@ -45,21 +38,6 @@ def built_codes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(QcCode, "__post_init__", counted)
     return built
-
-
-@pytest.fixture
-def scanned(monkeypatch) -> list[int]:
-    """The length of every exponent-sum scan made while the test runs."""
-    import qcgirth.girth as girth
-
-    real, lengths = girth.exponent_sums, []
-
-    def counted(matrix, length):
-        lengths.append(length)
-        return real(matrix, length)
-
-    monkeypatch.setattr(girth, "exponent_sums", counted)
-    return lengths
 
 
 @pytest.fixture

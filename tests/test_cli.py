@@ -24,7 +24,6 @@ from qcgirth import (
     load_matrix,
     save_matrix,
 )
-from qcgirth import cli
 from qcgirth.cli import _manifest_json, run
 
 from conftest import REFERENCE_SEED, REPO_ROOT
@@ -212,54 +211,6 @@ class TestExtend:
             ]
         )
         assert outcome.exit_code == 2
-
-
-class TestLoadedMatrixReuse:
-    """Commands on one seed read the spectrum of the first equal matrix loaded."""
-
-    def test_commands_on_one_seed_scan_once(self, seed_path, scanned):
-        assert run(["verify", "--matrix", seed_path, "--q", "393"]).exit_code == 0
-        for lo in ("449", "1000"):
-            outcome = run(["extend", "--matrix", seed_path, "--q", "393", "--from", lo,
-                           "--to", str(int(lo) + 29)])
-            assert outcome.exit_code == 0
-        outcome = run(["girth", "--matrix", seed_path, "--p", "448"])
-        assert json.loads(outcome.stdout_payload)["girth"] == 8
-        assert scanned == [4, 6, 8, 10]
-
-    def test_rewritten_file_is_scanned_afresh(
-        self, seed_fixture_path, formula_counterexample_path, scanned
-    ):
-        path = formula_counterexample_path
-        assert run(["extend", "--matrix", path, "--q", "43", "--from", "80",
-                    "--to", "90"]).exit_code == 0
-        Path(path).write_text(seed_fixture_path.read_text(encoding="utf-8"), encoding="utf-8")
-        scanned.clear()
-        outcome = run(["extend", "--matrix", path, "--q", "393", "--from", "449", "--to", "478"])
-        golden = REPO_ROOT / "tests" / "data" / "manifest_seed_3x6_q393_449_478.json"
-        assert outcome.stdout_payload + "\n" == golden.read_text(encoding="utf-8")
-        assert scanned == [4, 6, 8, 10]
-
-    def test_equal_files_share_one_scan(self, seed_path, tmp_path, scanned):
-        copy = tmp_path / "copy.json"
-        save_matrix(copy, load_matrix(seed_path), label="the same entries")
-        outcomes = [
-            run(["extend", "--matrix", path, "--q", "393", "--from", "449", "--to", "478"])
-            for path in (seed_path, str(copy))
-        ]
-        assert outcomes[0] == outcomes[1]
-        assert scanned == [4, 6, 8, 10]
-        assert cli._load(str(copy)) is cli._load(seed_path)
-
-    def test_cache_keeps_a_fixed_number_of_matrices(self, tmp_path):
-        maxsize = cli._intern.cache_parameters()["maxsize"]
-        for i in range(maxsize + 1):
-            path = tmp_path / f"seed{i}.json"
-            save_matrix(path, ExponentMatrix.from_rows([[0, 0, 0], [0, 1, 2 + i]]))
-            assert run(["girth", "--matrix", str(path), "--p", "7"]).exit_code == 0
-        info = cli._intern.cache_info()
-        assert info.misses == maxsize + 1
-        assert info.currsize <= maxsize
 
 
 def _certified_seeds():
