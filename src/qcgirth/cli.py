@@ -136,7 +136,7 @@ def _cmd_extend(args) -> CommandOutcome:
 
 
 def _cmd_search(args) -> CommandOutcome:
-    cfg = SearchConfig(args.cols, args.q_cap, args.seed, args.max_steps, args.restarts)
+    cfg = SearchConfig(args.cols, args.q_cap, args.max_steps, args.restarts)
     matrix, q, report = find_certified_seed(cfg)
     payload = json.dumps(
         {"seed": matrix_to_json(matrix), "Q": q, "report": report.to_json_dict()},

@@ -23,12 +23,12 @@ the shortest length through 10 whose exponent sums P divides, else 12.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError
-from .girth import CycleSpectrum, CycleWitness, girth_fast
+from .girth import CycleWitness, girth_fast
 from .matrices import MAX_VALUE, ExponentMatrix, QcCode, canonical_check, matrix_to_json
 
 MAX_FAMILY_MEMBERS = 1_000_000  # largest P window one extend_family call accepts
@@ -44,12 +44,7 @@ class ConditionReport:
     p2_max: int
     p2_second: int
     p1_max: int
-    spectrum: CycleSpectrum = field(repr=False, compare=False)
-
-    @property
-    def min_p(self) -> int | None:
-        """:meth:`CycleSpectrum.bound` of the seed; None when no P is girth 12."""
-        return self.spectrum.bound()
+    min_p: int | None  # CycleSpectrum.bound() of the seed; None when no P is girth 12
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -89,7 +84,7 @@ def _row_extremes(matrix: ExponentMatrix) -> tuple[int, int, int]:
 
 
 def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
-    """Evaluate the three extension conditions for a seed at size Q.
+    """Evaluate the three extension conditions for a seed at size Q, and its min_P.
 
     Requires a canonical (3,L) matrix with all entries < Q; the guarantee
     this report certifies is specific to column weight three.
@@ -118,7 +113,7 @@ def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
         p2_max=p2_max,
         p2_second=p2_second,
         p1_max=p1_max,
-        spectrum=matrix.spectrum,
+        min_p=matrix.spectrum.bound(),
     )
 
 
@@ -142,6 +137,16 @@ class QcFamily(Sequence[QcCode]):
         return QcCode(self.seed, self.sizes[index])
 
 
+def _refuse_below_bound(p_lo: int, min_p: int | None) -> None:
+    """The family rule: every P >= min_P is girth 12, and no smaller P is certified."""
+    if min_p is None:
+        raise ValueError("no min_P: an exponent sum is zero, so a cycle closes at every P")
+    if p_lo < min_p:
+        raise ValueError(
+            f"P range starts below the certified extension bound: {p_lo} < min_P={min_p}"
+        )
+
+
 def extend_family(matrix: ExponentMatrix, q: int, p_lo: int, p_hi: int) -> QcFamily:
     """The family of one code per circulant size in [p_lo, p_hi], all girth 12.
 
@@ -161,11 +166,7 @@ def extend_family(matrix: ExponentMatrix, q: int, p_lo: int, p_hi: int) -> QcFam
         raise ValueError(
             "seed fails the extension conditions: " + ", ".join(report.failures)
         )
-    if p_lo < report.min_p:
-        raise ValueError(
-            f"P range starts below the certified extension bound: "
-            f"{p_lo} < min_P={report.min_p}"
-        )
+    _refuse_below_bound(p_lo, report.min_p)
     if p_hi < p_lo:
         raise ValueError(f"empty range: {p_hi} < {p_lo}")
     sizes = range(p_lo, p_hi + 1)
@@ -194,16 +195,18 @@ def tightness_witness(matrix: ExponentMatrix) -> CycleWitness:
 def family_columns(matrix: ExponentMatrix, sizes: Sequence[int]) -> np.ndarray:
     """The (P, N, girth) rows of the members of *matrix*'s family at *sizes*.
 
-    N is L·P, exact in int64 because the cycle tables stop at L = 12, and
-    the girth column is one query of the seed's spectrum over all sizes.
+    Every member is girth 12 by the family bound min_P, so no size is tested;
+    any size when the seed has no bound, or a size below min_P, raises
+    ValueError.  N is L·P, exact in int64 because the cycle tables stop at
+    L = 12.
     """
     if isinstance(sizes, range):
         ps = np.arange(sizes.start, sizes.stop, sizes.step, dtype=np.int64)
     else:
         ps = np.array(sizes, dtype=np.int64)
-    girths = matrix.spectrum.shortest_cycles(ps)
-    girths[girths == 0] = 12
-    return np.column_stack([ps, matrix.cols * ps, girths])
+    if ps.size:
+        _refuse_below_bound(int(ps.min()), matrix.spectrum.bound())
+    return np.column_stack([ps, matrix.cols * ps, np.full(ps.size, 12, dtype=np.int64)])
 
 
 def family_manifest(
@@ -216,8 +219,8 @@ def family_manifest(
     """JSON-ready manifest: seed, Q, bound and one entry per member.
 
     The codes are members of *matrix*'s family, and the entries are the rows
-    of :func:`family_columns`; a :class:`QcFamily` gives its sizes as its
-    range, without building a member.
+    of :func:`family_columns`, which refuses a code below min_P; a
+    :class:`QcFamily` gives its sizes as its range, without building a member.
     """
     sizes = codes.sizes if isinstance(codes, QcFamily) else [c.circulant_size for c in codes]
     return {

@@ -33,7 +33,6 @@ Girth values are even integers; ``None`` is the acyclic sentinel
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -282,23 +281,6 @@ class CycleSpectrum:
             if self._closing(p, length).size:
                 return length
         return None
-
-    def shortest_cycles(self, ps: Sequence[int]) -> np.ndarray:
-        """:meth:`shortest_cycle` at each size of *ps*, 0 for None, in one query.
-
-        No size at or above :meth:`bound` closes a cycle through length 10,
-        so only the sizes below it reach the divisor test.
-        """
-        ps = np.asarray(ps, dtype=np.int64)
-        if ps.size:
-            _check_modulus(int(ps.min()))
-            _check_modulus(int(ps.max()))
-        bound = self.bound()
-        below = np.arange(ps.size) if bound is None else np.flatnonzero(ps < bound)
-        girth = np.zeros(ps.size, dtype=np.int64)
-        for i in below.tolist():
-            girth[i] = self.shortest_cycle(int(ps[i])) or 0
-        return girth
 
     def witness(self, p: int, length: int) -> CycleWitness | None:
         """The first cycle of *length* (4..12) in table order closing at *p*."""

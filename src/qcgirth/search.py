@@ -25,12 +25,11 @@ class SearchConfig:
     """Knobs of the seed search; only `cols` and `q_cap` are problem data.
 
     `restarts` is the beam width and `max_steps` the budget of partial seeds
-    expanded.  `seed` is accepted but does not change the result.
+    expanded.
     """
 
     cols: int
     q_cap: int
-    seed: int = 0
     max_steps: int = 200_000
     restarts: int = 8
 
@@ -104,10 +103,10 @@ def find_certified_seed(cfg: SearchConfig) -> tuple[ExponentMatrix, int, Conditi
     Columns (0, a, b) are added in increasing b, which loses nothing:
     permuting columns keeps every sum, and equal b close a 4-cycle.  The beam
     keeps the cfg.restarts partial seeds of least bound per column count,
-    ties to the smaller b, then a, then the better parent, so cfg.seed does
-    not change the result.  Every beam state is girth 12 at q_cap, so the Q
-    scan ends there.  Raises SearchBudgetError when the beam empties or would
-    expand more than cfg.max_steps partial seeds.
+    ties to the smaller b, then a, then the better parent, so the result is
+    deterministic.  Every beam state is girth 12 at q_cap, so the Q scan ends
+    there.  Raises SearchBudgetError when the beam empties or would expand
+    more than cfg.max_steps partial seeds.
     """
     beam = [ExponentMatrix.from_rows([[0], [0], [0]])]
     expanded = 0

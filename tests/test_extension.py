@@ -19,7 +19,7 @@ from qcgirth import (
     tightness_witness,
 )
 from qcgirth.cli import run
-from qcgirth.extension import MAX_FAMILY_MEMBERS, _row_extremes
+from qcgirth.extension import MAX_FAMILY_MEMBERS, _row_extremes, family_columns
 from qcgirth.girth import ORACLE_EDGE_BUDGET
 
 from conftest import REFERENCE_SEED, REPO_ROOT
@@ -326,12 +326,27 @@ class TestFamilyManifest:
         assert manifest["members"][0] == {"P": 449, "N": 2694, "girth": 12}
         assert manifest["seed"]["entries"][2][5] == 224
 
-    def test_reports_the_computed_girth(self, ref_seed, monkeypatch):
+    def test_refuses_sizes_below_the_bound(self, ref_seed, monkeypatch):
+        # the planted 8-cycle raises the bound to 456: P = 455 is refused,
+        # P = 456 is listed with girth 12
         _plant_8_cycle_at_455(monkeypatch)
-        codes = [QcCode(ref_seed, p) for p in (454, 455, 456)]
-        manifest = family_manifest(ref_seed, 393, codes)
+        for sizes in ([455], [457, 455, 456], range(455, 460)):
+            with pytest.raises(ValueError, match="455 < min_P=456"):
+                family_columns(ref_seed, sizes)
+            with pytest.raises(ValueError, match="455 < min_P=456"):
+                family_manifest(ref_seed, 393, [QcCode(ref_seed, p) for p in sizes])
+        manifest = family_manifest(ref_seed, 393, [QcCode(ref_seed, 456)])
         assert manifest["min_P"] == 456
-        assert [m["girth"] for m in manifest["members"]] == [12, 8, 12]
+        assert manifest["members"] == [{"P": 456, "N": 2736, "girth": 12}]
+        assert family_columns(ref_seed, range(456, 458)).tolist() == [
+            [456, 2736, 12], [457, 2742, 12]]
+
+    def test_refuses_a_seed_with_no_bound(self):
+        # the 8-cycle on block-rows 0, 1 through columns 0, 1, 2, 1 sums to 0
+        m = ExponentMatrix.from_rows([[0, 0, 0], [0, 1, 2], [0, 10, 7]])
+        for sizes in ([500], range(2, 10)):
+            with pytest.raises(ValueError, match="no min_P"):
+                family_columns(m, sizes)
 
     def test_shared_spectrum_scans_each_length_once(self, monkeypatch):
         import qcgirth.girth as girth

@@ -531,34 +531,6 @@ def _reference_shortest_cycle(matrix, p):
     return 0
 
 
-class TestWindowQuery:
-    """shortest_cycles answers a window of sizes in one query."""
-
-    def test_window_equals_per_p_on_the_reference_seed(self, ref_seed):
-        sizes = range(2, 3001)
-        window = CycleSpectrum(ref_seed).shortest_cycles(sizes).tolist()
-        spectrum = CycleSpectrum(ref_seed)
-        assert window == [spectrum.shortest_cycle(p) or 0 for p in sizes]
-        assert window == [_reference_shortest_cycle(ref_seed, p) for p in sizes]
-        assert window[448 - 2] == 8 and set(window[449 - 2 :]) == {0}
-
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(
-        m=_matrices(st.integers(2, 4), st.integers(2, 4), st.integers(0, 300)),
-        ps=st.lists(st.integers(2, 1200), max_size=20),
-    )
-    def test_window_equals_the_uncached_reference(self, m, ps):
-        # unsorted, repeated and empty windows; zero sums on repeated columns
-        window = CycleSpectrum(m).shortest_cycles(ps)
-        assert window.dtype == np.int64 and window.shape == (len(ps),)
-        assert window.tolist() == [_reference_shortest_cycle(m, p) for p in ps]
-
-    @pytest.mark.parametrize("ps", [[5, 1], [MAX_VALUE + 1, 7], [0]])
-    def test_window_rejects_a_size_out_of_range(self, ref_seed, ps):
-        with pytest.raises(ValueError, match="modulus"):
-            CycleSpectrum(ref_seed).shortest_cycles(ps)
-
-
 @st.composite
 def _divisor_matrices(draw):
     """Canonical or free 2..4 x 2..5 matrices, some with a repeated column (a zero sum)."""
@@ -593,3 +565,6 @@ class TestDivisorTest:
             assert spectrum.shortest_cycle(p) == (_reference_shortest_cycle(m, p) or None), p
             for n in lengths:
                 assert spectrum.witness(p, n) == _reference_find_cycle(m, p, n), (p, n)
+        for p in (0, 1, MAX_VALUE + 1):
+            with pytest.raises(ValueError, match="modulus"):
+                spectrum.shortest_cycle(p)

@@ -16,6 +16,7 @@ from qcgirth import (
     girth_fast,
     girth_oracle,
 )
+from qcgirth.cli import run
 from qcgirth.search import _child_grid, _extended
 
 
@@ -72,7 +73,7 @@ class TestChildGrid:
 
 class TestFindCertifiedSeed:
     def test_small_instance_certifies(self):
-        cfg = SearchConfig(cols=3, q_cap=200, seed=0, max_steps=800, restarts=2)
+        cfg = SearchConfig(cols=3, q_cap=200, max_steps=800, restarts=2)
         matrix, q, report = find_certified_seed(cfg)
         assert report.all_pass
         assert q <= 200
@@ -91,7 +92,7 @@ class TestFindCertifiedSeed:
             assert g is not None and g < 12
         with pytest.raises(SearchBudgetError):
             find_certified_seed(
-                SearchConfig(cols=3, q_cap=2, seed=0, max_steps=50, restarts=1)
+                SearchConfig(cols=3, q_cap=2, max_steps=50, restarts=1)
             )
 
     def test_infeasible_cap_raises(self):
@@ -99,7 +100,7 @@ class TestFindCertifiedSeed:
             find_certified_seed(SearchConfig(cols=3, q_cap=2))
 
     def test_certified_seed_extends(self):
-        cfg = SearchConfig(cols=4, q_cap=250, seed=2, max_steps=800, restarts=2)
+        cfg = SearchConfig(cols=4, q_cap=250, max_steps=800, restarts=2)
         matrix, q, report = find_certified_seed(cfg)
         for p in range(report.min_p, report.min_p + 12):
             assert girth_fast(matrix, p).girth == 12
@@ -116,11 +117,12 @@ class TestFindCertifiedSeed:
         assert list(row2) == sorted(set(row2))
 
     def test_seed_does_not_change_the_result(self):
-        results = {
-            find_certified_seed(SearchConfig(cols=4, q_cap=200, seed=s, restarts=2))[:2]
-            for s in (0, 3, 7)
-        }
-        assert len(results) == 1
+        # the CLI still requires --seed and ignores it: same stdout, same exit code
+        for q_cap, exit_code in (("200", 0), ("2", 3)):
+            argv = ["search", "--cols", "4", "--q-cap", q_cap, "--restarts", "2", "--seed"]
+            outcomes = {run(argv + [s]) for s in ("0", "3", "7")}
+            assert len(outcomes) == 1
+            assert outcomes.pop().exit_code == exit_code
 
     @pytest.mark.parametrize("cols, restarts", [(2, 1), (4, 2), (6, 3)])
     def test_budget_counts_expanded_partial_seeds(self, cols, restarts):
