@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--q-cap", dest="q_cap", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="accepted; does not change the result")
-    p.add_argument("--steps", dest="max_steps", type=int, default=SearchConfig.max_steps)
+    p.add_argument("--steps", type=int, help="accepted; does not change the result")
     p.add_argument("--restarts", type=int, default=SearchConfig.restarts, help="beam width")
 
     p = sub.add_parser("export", help="expand and write the parity-check matrix")
@@ -136,7 +136,7 @@ def _cmd_extend(args) -> CommandOutcome:
 
 
 def _cmd_search(args) -> CommandOutcome:
-    cfg = SearchConfig(args.cols, args.q_cap, args.max_steps, args.restarts)
+    cfg = SearchConfig(args.cols, args.q_cap, args.restarts)
     matrix, q, report = find_certified_seed(cfg)
     payload = json.dumps(
         {"seed": matrix_to_json(matrix), "Q": q, "report": report.to_json_dict()},

@@ -13,11 +13,9 @@ a nonzero S only if P <= |S|); under that hypothesis it equals the formula.
 maximum makes the gap zero, which fails the condition for any nontrivial
 row 1 (the conservative reading).
 
-Girth questions read the seed's one spectrum, :attr:`ExponentMatrix.spectrum`,
-which scans each cycle table at most once whichever call asks first: a (3,L)
-matrix with L >= 2 always has 12-cycles (two columns and the three rows, or
-three columns and two rows, telescope to a zero sum), so its girth at P is
-the shortest length through 10 whose exponent sums P divides, else 12.
+Girth questions go to :func:`girth_fast`, which states the girth-12 rule
+(see :mod:`qcgirth.girth`) and reads the seed's one spectrum,
+:attr:`ExponentMatrix.spectrum`, scanning each cycle table at most once.
 """
 
 from __future__ import annotations
@@ -102,8 +100,7 @@ def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
         raise ValueError(f"entry {matrix.max_entry} is >= Q={q}")
 
     p1_max, p2_max, p2_second = _row_extremes(matrix)
-    # A single column is acyclic, not girth 12.
-    cond1 = matrix.cols >= 2 and matrix.spectrum.shortest_cycle(q) is None
+    cond1 = girth_fast(matrix, q).girth == 12
     cond2 = all(a <= b for a, b in zip(matrix.entries[1], matrix.entries[2]))
     cond3 = (p2_max - p2_second) >= p1_max
     return ConditionReport(
@@ -140,7 +137,8 @@ class QcFamily(Sequence[QcCode]):
 def _refuse_below_bound(p_lo: int, min_p: int | None) -> None:
     """The family rule: every P >= min_P is girth 12, and no smaller P is certified."""
     if min_p is None:
-        raise ValueError("no min_P: an exponent sum is zero, so a cycle closes at every P")
+        raise ValueError("no min_P: no P0 makes every P >= P0 girth 12 (the shape lacks "
+                         "12-cycles at some P, or an exponent sum is zero)")
     if p_lo < min_p:
         raise ValueError(
             f"P range starts below the certified extension bound: {p_lo} < min_P={min_p}"

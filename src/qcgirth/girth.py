@@ -8,13 +8,16 @@ the expanded Tanner graph corresponds to row/column index sequences
     sum_i  E[r_i][c_i] - E[r_{i+1}][c_i]  = 0  (mod P)
 
 vanishes.  Enumerating all such sequences for 2k in {4, 6, 8, 10} decides
-whether the girth is below 12; column-weight-three matrices with at least
-two columns always contain 12-cycles (rows u w u w u w with columns
-v1 v2 v3 v1 v2 v3, or rows 0 1 2 0 1 2 with columns v1 v2 v1 v2 v1 v2: either
-sum telescopes to zero for every P), so "no cycle through length 10" pins
-the girth to exactly 12 for those shapes.  The unreduced sum decides every
-P at once: the candidate closes at P exactly when P divides it
-(:func:`exponent_sums`, :class:`CycleSpectrum`).
+whether the girth is below 12.  The unreduced sum decides every P at once:
+the candidate closes at P exactly when P divides it (:func:`exponent_sums`,
+:class:`CycleSpectrum`).
+
+The girth-12 rule: a J x L matrix closes 12-cycles at every P exactly when
+min(J, L) >= 2 and max(J, L) >= 3, as rows u w u w u w with columns
+v1 v2 v3 v1 v2 v3, or rows 0 1 2 0 1 2 with columns v1 v2 v1 v2 v1 v2, sum to
+zero (Fossorier, IEEE Trans. IT, 2004).  There, no cycle through length 10
+means girth exactly 12.  One row or column is acyclic; a 2 x 2 Tanner graph
+is a union of cycles of length 4P / gcd(P, E00 - E01 - E10 + E11).
 
 Each cycle is enumerated once, as the lexicographically smallest
 (row_seq, col_seq) among its k rotations and k reflections.  A pair is that
@@ -23,8 +26,8 @@ is no larger than its image under each symmetry that fixes row_seq, so the
 tables are built from the canonical row sequences alone (:func:`_cycle_table`).
 
 The oracle path expands the matrix, builds the bipartite Tanner graph and
-computes the exact girth by BFS.  It shares nothing with the enumeration
-beyond the expansion itself and is used to cross-validate the fast path.
+computes the exact girth by BFS.  The fast path never calls it, so it is an
+independent cross-check for every shape.
 
 Girth values are even integers; ``None`` is the acyclic sentinel
 (serialized as JSON null).
@@ -32,6 +35,7 @@ Girth values are even integers; ``None`` is the acyclic sentinel
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -135,8 +139,6 @@ class GirthReport:
 
 def _alternating_count(symbols: int, k: int) -> int:
     """Number of cyclic sequences over `symbols` with adjacent terms distinct."""
-    if symbols <= 0:
-        return 0
     return (symbols - 1) ** k + (symbols - 1) * (-1) ** k
 
 
@@ -294,26 +296,31 @@ class CycleSpectrum:
                             tuple(t % l for t in terms), p)
 
     def bound(self) -> int | None:
-        """Smallest P0 with no cycle through length 10 at any P >= P0.
+        """Smallest P0 with girth exactly 12 at every P >= P0.
 
         max|S| + 1 over the sums S: P divides a nonzero S only if P <= |S|,
-        and P = max|S| divides one.  None when some sum is 0 (always closes).
+        and P = max|S| divides one.  None for a shape without 12-cycles at
+        every P, or when some sum is 0 (always closes).
         """
+        if not _closes_12_at_every_p(self._matrix):
+            return None
         scans = [self._scan(length) for length in SHORT_CYCLE_LENGTHS]
         if any(lo == 0 for _, lo, _ in scans):
             return None
         return max(hi for _, _, hi in scans) + 1
 
 
-def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
-    """Girth from the exponent matrix alone (BFS fallback for odd shapes).
+def _closes_12_at_every_p(matrix: ExponentMatrix) -> bool:
+    """Whether 12-cycles close at every P: min(J, L) >= 2 and max(J, L) >= 3."""
+    return min(matrix.rows, matrix.cols) >= 2 and max(matrix.rows, matrix.cols) >= 3
 
-    The shortest cycle through length 10 that the matrix's spectrum closes
-    at *p*, with its witness.  Finding none pins the girth to exactly 12
-    for column-weight-three matrices with L >= 2 (such shapes always
-    contain 12-cycles); one-row or one-column matrices are acyclic; any
-    other shape defers to :func:`girth_oracle` because its girth may
-    legitimately exceed 12.
+
+def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
+    """Girth from the exponent matrix alone, for every shape.
+
+    The shortest cycle through length 10 closing at *p*, with its witness.
+    Else, by the girth-12 rule (module docstring): 12, None for one row or
+    column, or the 2 x 2 closed form, at least 12 once no 4- or 8-cycle closes.
     """
     _check_modulus(p)
     if matrix.rows < 2 or matrix.cols < 2:
@@ -322,10 +329,11 @@ def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
     if length is not None:
         witness = find_cycle(matrix, p, length)
         return GirthReport(girth=length, method=EXPONENT_CHECK, witness=witness)
-    if matrix.rows == 3:
+    if _closes_12_at_every_p(matrix):
         return GirthReport(girth=12, method=EXPONENT_CHECK, witness=None)
-    girth = girth_oracle(matrix, p)
-    return GirthReport(girth=girth, method=GRAPH_BFS, witness=None)
+    (e00, e01), (e10, e11) = matrix.entries
+    girth = 4 * p // math.gcd(p, e00 - e01 - e10 + e11)
+    return GirthReport(girth=girth, method=EXPONENT_CHECK, witness=None)
 
 
 def girth_oracle(matrix: ExponentMatrix, p: int) -> int | None:

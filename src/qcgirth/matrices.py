@@ -57,7 +57,9 @@ class ExponentMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "ExponentMatrix":
-        return cls(tuple(tuple(int(e) for e in row) for row in rows))
+        """Numpy integers become ints; the constructor rejects other non-ints."""
+        return cls(tuple(tuple(int(e) if isinstance(e, np.integer) else e for e in row)
+                         for row in rows))
 
     @property
     def rows(self) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SearchBudgetError
 from .extension import ConditionReport, check_seed_conditions
-from .girth import SHORT_CYCLE_LENGTHS, exponent_sums
+from .girth import SHORT_CYCLE_LENGTHS, exponent_sums, girth_fast
 from .matrices import MAX_VALUE, ExponentMatrix
 
 _MAX_GRID_CELLS = 1 << 22  # (a, b) cells one window may lay out
@@ -24,13 +24,12 @@ _MAX_GRID_CELLS = 1 << 22  # (a, b) cells one window may lay out
 class SearchConfig:
     """Knobs of the seed search; only `cols` and `q_cap` are problem data.
 
-    `restarts` is the beam width and `max_steps` the budget of partial seeds
-    expanded.
+    `restarts` is the beam width.  The beam expands at most
+    restarts·(cols − 1) partial seeds, so no step budget is needed.
     """
 
     cols: int
     q_cap: int
-    max_steps: int = 200_000
     restarts: int = 8
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class SearchConfig:
             raise ValueError(f"a seed needs at least 2 columns, got cols={self.cols}")
         if not 2 <= self.q_cap <= MAX_VALUE:
             raise ValueError(f"q_cap must be in [2, {MAX_VALUE}], got {self.q_cap}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -105,16 +102,10 @@ def find_certified_seed(cfg: SearchConfig) -> tuple[ExponentMatrix, int, Conditi
     keeps the cfg.restarts partial seeds of least bound per column count,
     ties to the smaller b, then a, then the better parent, so the result is
     deterministic.  Every beam state is girth 12 at q_cap, so the Q scan ends
-    there.  Raises SearchBudgetError when the beam empties or would expand
-    more than cfg.max_steps partial seeds.
+    there.  Raises SearchBudgetError when the beam empties.
     """
     beam = [ExponentMatrix.from_rows([[0], [0], [0]])]
-    expanded = 0
     for cols in range(2, cfg.cols + 1):
-        expanded += len(beam)
-        if expanded > cfg.max_steps:
-            raise SearchBudgetError(f"column {cols} of {cfg.cols} needs {expanded} partial "
-                                    f"seeds expanded, over max_steps={cfg.max_steps}")
         last = cols == cfg.cols
         children = [(*child, i) for i, parent in enumerate(beam)
                     for child in _best_children(parent, cfg, last)]
@@ -124,5 +115,5 @@ def find_certified_seed(cfg: SearchConfig) -> tuple[ExponentMatrix, int, Conditi
         beam = [_extended(beam[i], a, b) for _, b, a, i in sorted(children)[: cfg.restarts]]
     seed = beam[0]
     q = next(q for q in range(seed.max_entry + 1, cfg.q_cap + 1)
-             if seed.spectrum.shortest_cycle(q) is None)
+             if girth_fast(seed, q).girth == 12)
     return seed, q, check_seed_conditions(seed, q)

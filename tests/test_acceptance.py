@@ -156,7 +156,7 @@ def test_criterion_7_certified_seed_property_suite():
     summaries = []
     for cols in (4, 5, 6):
         cfg = SearchConfig(
-            cols=cols, q_cap=450, max_steps=2000, restarts=3
+            cols=cols, q_cap=450, restarts=3
         )
         matrix, q, report = find_certified_seed(cfg)
         assert report.all_pass

@@ -90,6 +90,16 @@ class TestVerify:
         assert not report["cond1_girth12"]
         assert report["min_P"] is None
 
+    def test_single_column_seed_has_null_bound(self, tmp_path):
+        # one column is acyclic at every P, so no size is girth 12
+        path = tmp_path / "one_column.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 1, "entries": [[0], [0], [0]]}))
+        outcome = run(["verify", "--matrix", str(path), "--q", "5"])
+        assert outcome.exit_code == 1
+        report = json.loads(outcome.stdout_payload)
+        assert not report["cond1_girth12"]
+        assert report["min_P"] is None
+
 
 class TestGirth:
     def test_girth_at_448(self, seed_path):
@@ -108,6 +118,15 @@ class TestGirth:
     def test_oracle_budget_exit(self, seed_path):
         outcome = run(["girth", "--matrix", seed_path, "--p", "99991", "--oracle"])
         assert outcome.exit_code == 3
+
+    def test_two_row_girth_past_the_oracle_budget(self, tmp_path):
+        # 2 * 3 * 20011 edges are over the oracle budget; the girth-12 rule answers
+        path = tmp_path / "two_rows.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 3, "entries": [[0, 0, 0], [0, 1, 3]]}))
+        outcome = run(["girth", "--matrix", str(path), "--p", "20011"])
+        assert outcome.exit_code == 0
+        assert json.loads(outcome.stdout_payload) == {
+            "girth": 12, "method": "EXPONENT_CHECK", "witness": None}
 
     def test_three_by_two_past_oracle_budget_is_girth_12(self, tmp_path):
         # 3 * 2 * 20000 edges is over the oracle budget; 3 x 2 shapes used to
@@ -297,10 +316,12 @@ class TestSearch:
         assert outcome.exit_code == 2
         assert "cols=1" in capsys.readouterr().err
 
-    def test_zero_steps_is_input_error(self, capsys):
-        outcome = run(["search", "--cols", "3", "--q-cap", "50", "--seed", "0", "--steps", "0"])
-        assert outcome.exit_code == 2
-        assert "max_steps" in capsys.readouterr().err
+    def test_steps_do_not_change_the_result(self):
+        # the beam expands at most restarts * (cols - 1) partial seeds
+        argv = ["search", "--cols", "6", "--q-cap", "450", "--seed", "0", "--restarts", "3"]
+        few, many = run(argv + ["--steps", "1"]), run(argv + ["--steps", "2000"])
+        assert few.exit_code == many.exit_code == 0
+        assert few.stdout_payload == many.stdout_payload == run(argv).stdout_payload
 
     @pytest.mark.parametrize("q_cap", ["1", str(2**59 + 1), str(10**20)])
     def test_q_cap_out_of_range_is_input_error(self, q_cap, capsys):
@@ -331,13 +352,6 @@ class TestSearch:
         outcome = run(["search", "--cols", "3", "--q-cap", "450", "--seed", "0"])
         assert outcome.exit_code == 3
         assert "cells" in capsys.readouterr().err
-
-    def test_steps_below_the_beam_exit(self, capsys):
-        # width 3 over 6 columns expands 1 + 3 * 4 = 13 partial seeds
-        argv = ["search", "--cols", "6", "--q-cap", "450", "--seed", "0", "--restarts", "3"]
-        assert run(argv + ["--steps", "12"]).exit_code == 3
-        assert "max_steps" in capsys.readouterr().err
-        assert run(argv + ["--steps", "13"]).exit_code == 0
 
 
 class TestExport:

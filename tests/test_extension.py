@@ -348,6 +348,17 @@ class TestFamilyManifest:
             with pytest.raises(ValueError, match="no min_P"):
                 family_columns(m, sizes)
 
+    @pytest.mark.parametrize("rows", [[[0, 0], [0, 1]], [[0], [0], [0]], [[0, 1, 2]]])
+    def test_refuses_a_shape_without_12_cycles_at_every_p(self, rows):
+        # a 2 x 2 seed's girth is 4P / gcd(P, 1), 20 at P = 5; one row or
+        # one column is acyclic: no such family is girth 12
+        m = ExponentMatrix.from_rows(rows)
+        assert m.spectrum.bound() is None
+        with pytest.raises(ValueError, match="no min_P"):
+            family_columns(m, [5])
+        with pytest.raises(ValueError, match="no min_P"):
+            family_manifest(m, 3, [QcCode(m, 5)])
+
     def test_shared_spectrum_scans_each_length_once(self, monkeypatch):
         import qcgirth.girth as girth
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -92,16 +93,19 @@ def _reference_find_cycle(matrix, p, length):
 
 
 def _reference_girth_fast(matrix, p):
-    """girth_fast as a per-length loop over :func:`_reference_find_cycle`."""
-    if matrix.rows < 2 or matrix.cols < 2:
+    """girth_fast as a per-length loop over :func:`_reference_find_cycle`, then
+    12 when min(J, L) >= 2 and max(J, L) >= 3, else the 2 x 2 closed form."""
+    j, l = matrix.rows, matrix.cols
+    if j < 2 or l < 2:
         return GirthReport(None, EXPONENT_CHECK, None)
     for length in (4, 6, 8, 10):
         witness = _reference_find_cycle(matrix, p, length)
         if witness is not None:
             return GirthReport(length, EXPONENT_CHECK, witness)
-    if matrix.rows == 3:
+    if min(j, l) >= 2 and max(j, l) >= 3:
         return GirthReport(12, EXPONENT_CHECK, None)
-    return GirthReport(girth_oracle(matrix, p), GRAPH_BFS, None)
+    (a, b), (c, d) = matrix.entries
+    return GirthReport(4 * p // math.gcd(p, a - b - c + d), EXPONENT_CHECK, None)
 
 
 def _outcome(fn, *args):
@@ -247,13 +251,25 @@ class TestGirthFast:
         m = ExponentMatrix.from_rows([[0], [0], [0]])
         assert girth_fast(m, 9).girth is None
 
-    def test_two_by_two_falls_back_to_bfs(self):
-        # girth can exceed 12 for 2x2 shapes, so the checker defers to BFS
+    def test_two_by_two_closed_form(self):
+        # a 2-regular Tanner graph: cycles of length 4P / gcd(P, 0 - 0 - 0 + 1)
         m = ExponentMatrix.from_rows([[0, 0], [0, 1]])
-        report = girth_fast(m, 5)
-        assert report.method == GRAPH_BFS
-        assert report.girth == 20
+        assert girth_fast(m, 5) == GirthReport(20, EXPONENT_CHECK, None)
         assert girth_oracle(m, 5) == 20
+        # past the oracle's edge budget, where only the closed form answers
+        assert girth_fast(m, 30011) == GirthReport(120044, EXPONENT_CHECK, None)
+        with pytest.raises(BudgetError):
+            girth_oracle(m, 30011)
+
+    def test_never_calls_the_oracle(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("girth_fast called the oracle")
+
+        monkeypatch.setattr("qcgirth.girth.girth_oracle", refuse)
+        rng = random.Random(15)
+        for j, l in itertools.product(range(1, 5), range(1, 7)):
+            p = rng.randint(2, 53)
+            girth_fast(random_canonical_matrix(rng, j, l, p), p)
 
     def test_monotone_evidence(self):
         rng = random.Random(8)
@@ -338,13 +354,16 @@ class TestAgreement:
             assert girth_oracle(m, p) == _girth_every_root(m, p), (m, p)
 
     def test_fast_equals_oracle_on_random_matrices(self):
+        # girth_fast never defers to the oracle, so every draw compares two
+        # independent computations, on every shape up to 4 x 6
         rng = random.Random(12345)
-        for _ in range(120):
-            j = rng.choice((2, 3))
-            l = rng.randint(2, 6)
-            p = rng.randint(2, 53)
+        shapes = set()
+        for _ in range(240):
+            j, l, p = rng.randint(1, 4), rng.randint(1, 6), rng.randint(2, 53)
             m = random_canonical_matrix(rng, j, l, p)
-            assert girth_fast(m, p).girth == girth_oracle(m, p)
+            assert girth_fast(m, p).girth == girth_oracle(m, p), (m, p)
+            shapes.add((j, l))
+        assert len(shapes) == 24
 
 
 class TestEnumerationStructure:

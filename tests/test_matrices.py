@@ -48,6 +48,15 @@ class TestExponentMatrix:
         with pytest.raises(ValueError):
             ExponentMatrix(((0, 0.5), (0, 1)))
 
+    @pytest.mark.parametrize("entry", [1.7, "3", True, np.int64(3)])
+    def test_from_rows_converts_only_numpy_integers(self, entry):
+        if isinstance(entry, np.integer):
+            m = ExponentMatrix.from_rows([[0, entry]])
+            assert m.entries == ((0, 3),) and type(m.entries[0][1]) is int
+        else:
+            with pytest.raises(ValueError, match="integers"):
+                ExponentMatrix.from_rows([[0, entry]])
+
     def test_entry_limit(self):
         assert ExponentMatrix(((0, MAX_VALUE),)).max_entry == MAX_VALUE
         with pytest.raises(ValueError, match="exceeds the limit"):

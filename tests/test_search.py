@@ -26,8 +26,8 @@ class TestSearchConfig:
         [
             {"cols": 0, "q_cap": 10},
             {"cols": 3, "q_cap": 1},
-            {"cols": 3, "q_cap": 10, "max_steps": 0},
             {"cols": 3, "q_cap": 10, "restarts": 0},
+            {"cols": 3, "q_cap": 2**59 + 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -73,7 +73,7 @@ class TestChildGrid:
 
 class TestFindCertifiedSeed:
     def test_small_instance_certifies(self):
-        cfg = SearchConfig(cols=3, q_cap=200, max_steps=800, restarts=2)
+        cfg = SearchConfig(cols=3, q_cap=200, restarts=2)
         matrix, q, report = find_certified_seed(cfg)
         assert report.all_pass
         assert q <= 200
@@ -91,16 +91,14 @@ class TestFindCertifiedSeed:
             g = girth_oracle(m, 2)
             assert g is not None and g < 12
         with pytest.raises(SearchBudgetError):
-            find_certified_seed(
-                SearchConfig(cols=3, q_cap=2, max_steps=50, restarts=1)
-            )
+            find_certified_seed(SearchConfig(cols=3, q_cap=2, restarts=1))
 
     def test_infeasible_cap_raises(self):
         with pytest.raises(SearchBudgetError, match="q_cap too small"):
             find_certified_seed(SearchConfig(cols=3, q_cap=2))
 
     def test_certified_seed_extends(self):
-        cfg = SearchConfig(cols=4, q_cap=250, max_steps=800, restarts=2)
+        cfg = SearchConfig(cols=4, q_cap=250, restarts=2)
         matrix, q, report = find_certified_seed(cfg)
         for p in range(report.min_p, report.min_p + 12):
             assert girth_fast(matrix, p).girth == 12
@@ -123,13 +121,3 @@ class TestFindCertifiedSeed:
             outcomes = {run(argv + [s]) for s in ("0", "3", "7")}
             assert len(outcomes) == 1
             assert outcomes.pop().exit_code == exit_code
-
-    @pytest.mark.parametrize("cols, restarts", [(2, 1), (4, 2), (6, 3)])
-    def test_budget_counts_expanded_partial_seeds(self, cols, restarts):
-        # the root grows column 2, then the full beam grows each later column
-        needed = 1 + restarts * (cols - 2)
-        cfg = dict(cols=cols, q_cap=450, restarts=restarts)
-        find_certified_seed(SearchConfig(**cfg, max_steps=needed))
-        if needed > 1:
-            with pytest.raises(SearchBudgetError, match="max_steps"):
-                find_certified_seed(SearchConfig(**cfg, max_steps=needed - 1))
