@@ -24,6 +24,8 @@ Each cycle is enumerated once, as the lexicographically smallest
 smallest exactly when row_seq is the smallest of its own orbit and col_seq
 is no larger than its image under each symmetry that fixes row_seq, so the
 tables are built from the canonical row sequences alone (:func:`_cycle_table`).
+A table indexes a candidate by its row sequence and the two halves of its
+column sequence, so its sum meets in the middle: front-half plus back-half sum.
 
 The oracle path expands the matrix, builds the bipartite Tanner graph and
 computes the exact girth by BFS.  The fast path never calls it, so it is an
@@ -154,16 +156,18 @@ def _alternating_sequences(symbols: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cycle_table(j: int, l: int, k: int) -> np.ndarray | None:
-    """Enumeration table for 2k-cycles of a J x L exponent matrix.
+def _cycle_table(j: int, l: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Enumeration table for 2k-cycles of a J x L exponent matrix, split in halves.
 
-    A (k, n) array with one column per canonical candidate, in
-    (row_seq, col_seq) order.  Entry i is the flat index
-    (r_i * J + r_{i+1}) * L + c_i of the term E[r_i][c_i] - E[r_{i+1}][c_i]
-    in the J x J x L grid of column differences, so a candidate's exponent
-    sum adds k gathered differences.  Returns None when no valid sequence
-    exists (fewer than two rows or columns, or odd k with fewer than three
-    of either).
+    Candidates are the canonical (row_seq, col_seq) pairs in that order.
+    Returns (pairs, front, back).  pairs is (n_r, k): the codes
+    r_i * J + r_{i+1} of each canonical row sequence, so term i of a
+    candidate is E[r_i][c_i] - E[r_{i+1}][c_i], at row pair pairs[., i].
+    front and back are (n,), one entry per candidate: row_seq_id * L^h plus
+    the base-L code of c_0..c_{h-1}, with h = ceil(k / 2), and
+    row_seq_id * L^(k-h) plus the code of c_h..c_{k-1}.  No (k, n) table of
+    terms is formed.  Returns None when no valid sequence exists (fewer than
+    two rows or columns, or odd k with fewer than three of either).
     """
     rows = _alternating_sequences(j, k)
     cols = _alternating_sequences(l, k).T.copy()
@@ -192,14 +196,18 @@ def _cycle_table(j: int, l: int, k: int) -> np.ndarray | None:
         np.flatnonzero(np.all([col_keys[0] <= col_keys[t] for t in np.flatnonzero(s)], axis=0))
         for s in stabilizers
     ]
+    # Row sequence i indexes its kept column sequences by i * L^h plus their
+    # front codes and by i * L^(k-h) plus their back codes, held in halves[g].
+    widths = np.array([[l ** ((k + 1) // 2)], [l ** (k // 2)]])
+    halves = [np.stack(np.divmod(col_keys[0][s], widths[1, 0])) for s in kept]
     group = group.ravel().tolist()
-    table = np.empty((k, sum(kept[g].size for g in group)), dtype=np.int64)
-    firsts = ((rows * j + np.roll(rows, -1, axis=1)) * l)[canonical]
+    table = np.empty((2, sum(kept[g].size for g in group)), dtype=np.intp)
     at = 0
-    for first, g in zip(firsts, group):
-        np.add(first[:, None], cols[:, kept[g]], out=table[:, at : at + kept[g].size])
+    for i, g in enumerate(group):
+        np.add(halves[g], i * widths, out=table[:, at : at + kept[g].size])
         at += kept[g].size
-    return table
+    pairs = (rows * j + np.roll(rows, -1, axis=1))[canonical]
+    return pairs, table[0], table[1]
 
 
 def _sequence_count(j: int, l: int, k: int) -> int:
@@ -209,10 +217,13 @@ def _sequence_count(j: int, l: int, k: int) -> int:
 def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
     """Alternating exponent sum of every candidate cycle of *length*.
 
-    One value per candidate of the cached cycle table.  A candidate closes at
-    size P exactly when P divides its sum (Fossorier, IEEE Trans. IT, 2004).
-    Entries are at most MAX_VALUE, so no sum overflows int64.  Raises
-    BudgetError past SEQUENCE_BUDGET (use the BFS oracle instead).
+    One value per candidate of the cached cycle table, met in the middle: the
+    (n_r, k, L) column differences of the row sequences are summed over every
+    front-half and back-half column code into two grids, and a candidate adds
+    one cell of each.  A candidate closes at size P exactly when P divides its
+    sum (Fossorier, IEEE Trans. IT, 2004).  Entries are at most MAX_VALUE, so
+    no sum overflows int64.  Raises BudgetError past SEQUENCE_BUDGET (use the
+    BFS oracle instead).
     """
     if length not in SUPPORTED_CYCLE_LENGTHS:
         raise ValueError(f"cycle length must be one of {SUPPORTED_CYCLE_LENGTHS}")
@@ -226,9 +237,16 @@ def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
     table = _cycle_table(matrix.rows, matrix.cols, k)
     if table is None:
         return np.zeros(0, dtype=np.int64)
+    pairs, front, back = table
     entries = np.asarray(matrix.entries, dtype=np.int64)
-    differences = (entries[:, None, :] - entries[None, :, :]).ravel()
-    return differences[table].sum(axis=0)
+    terms = (entries[:, None, :] - entries[None, :, :]).reshape(-1, matrix.cols)[pairs]
+    grids = []
+    for half in np.split(terms, [(k + 1) // 2], axis=1):
+        grid = half[:, 0]
+        for term in half.transpose(1, 0, 2)[1:]:
+            grid = (grid[:, :, None] + term[:, None, :]).reshape(len(pairs), -1)
+        grids.append(grid.ravel())
+    return grids[0][front] + grids[1][back]
 
 
 def _check_modulus(p: int) -> None:
@@ -263,7 +281,8 @@ class CycleSpectrum:
     def _scan(self, length: int) -> tuple[np.ndarray, int, int]:
         """(|sums|, min, max) of one length, scanned on first use."""
         if length not in self._sums:
-            sums = np.abs(exponent_sums(self._matrix, length))
+            sums = exponent_sums(self._matrix, length)
+            np.abs(sums, out=sums)
             self._sums[length] = sums, int(sums.min(initial=1)), int(sums.max(initial=0))
         return self._sums[length]
 
@@ -290,10 +309,11 @@ class CycleSpectrum:
         hits = self._closing(p, length)
         if not hits.size:
             return None
-        j, l = self._matrix.rows, self._matrix.cols
-        terms = _cycle_table(j, l, length // 2)[:, hits[0]].tolist()
-        return CycleWitness(length, tuple(t // (j * l) for t in terms),
-                            tuple(t % l for t in terms), p)
+        j, l, k = self._matrix.rows, self._matrix.cols, length // 2
+        pairs, front, back = _cycle_table(j, l, k)
+        row, *cols = np.unravel_index(front[hits[0]], (len(pairs),) + (l,) * ((k + 1) // 2))
+        cols += np.unravel_index(back[hits[0]], (len(pairs),) + (l,) * (k // 2))[1:]
+        return CycleWitness(length, tuple((pairs[row] // j).tolist()), tuple(map(int, cols)), p)
 
     def bound(self) -> int | None:
         """Smallest P0 with girth exactly 12 at every P >= P0.

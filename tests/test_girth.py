@@ -39,9 +39,30 @@ from conftest import random_canonical_matrix
 WIDE = ExponentMatrix.from_rows([[0] * 40, list(range(40)), list(range(0, 80, 2))])
 
 
+def _decoded_table(j, l, k, which=slice(None)):
+    """The cached 2k-cycle table of a J x L matrix as a (k, n) array of terms.
+
+    Entry i of a candidate is the flat index (r_i * J + r_{i+1}) * L + c_i
+    of its term E[r_i][c_i] - E[r_{i+1}][c_i] in the J x J x L grid of
+    column differences, decoded from the row-pair codes and the two half
+    indexes; None when the cache holds no table.  *which* selects candidates.
+    """
+    table = _cycle_table(j, l, k)
+    if table is None:
+        return None
+    pairs, front, back = table[0], table[1][which], table[2][which]
+    h = (k + 1) // 2
+    row_ids, front_code = np.divmod(front, l ** h)
+    back_ids, back_code = np.divmod(back, l ** (k - h))
+    np.testing.assert_array_equal(row_ids, back_ids)  # both halves name the same row_seq
+    code = front_code * l ** (k - h) + back_code
+    cols = np.stack([code // l ** (k - 1 - i) % l for i in range(k)])
+    return pairs[row_ids].T * l + cols
+
+
 def _candidate(j, l, k, i):
     """(row_seq, col_seq) of candidate *i* in the J x L table for 2k-cycles."""
-    terms = [int(t) for t in _cycle_table(j, l, k)[:, i]]
+    terms = [int(t) for t in _decoded_table(j, l, k, [i])[:, 0]]
     return tuple(t // (j * l) for t in terms), tuple(t % l for t in terms)
 
 
@@ -87,7 +108,7 @@ def _reference_find_cycle(matrix, p, length):
     hits = np.flatnonzero(exponent_sums(matrix, length) % p == 0)
     if hits.size == 0:
         return None
-    terms = [int(t) for t in _cycle_table(matrix.rows, matrix.cols, length // 2)[:, hits[0]]]
+    terms = [int(t) for t in _decoded_table(matrix.rows, matrix.cols, length // 2, hits[:1])[:, 0]]
     row_seq = tuple(t // (matrix.rows * matrix.cols) for t in terms)
     return CycleWitness(length, row_seq, tuple(t % matrix.cols for t in terms), p)
 
@@ -392,7 +413,7 @@ class TestEnumerationStructure:
         # odd cycle, which has no proper 2-coloring.  Verified structurally
         # on the enumeration tables used by the checker.
         assert _cycle_table(2, 6, k) is None
-        row_seqs = _cycle_table(3, 6, k) // 18  # r_i of each term
+        row_seqs = _decoded_table(3, 6, k) // 18  # r_i of each term
         assert all(len(set(map(int, rows))) >= 3 for rows in row_seqs.T)
 
     @pytest.mark.parametrize(
@@ -409,12 +430,36 @@ class TestEnumerationStructure:
     def test_table_equals_cross_product_reference(self, j, l, k):
         # same candidates in the same order, so sums and witnesses are unchanged
         expected = _reference_cycle_table(j, l, k)
-        table = _cycle_table(j, l, k)
+        table = _decoded_table(j, l, k)
         if expected is None:
             assert table is None
         else:
-            assert table.dtype == expected.dtype and table.flags.c_contiguous
+            assert table.dtype == expected.dtype
             np.testing.assert_array_equal(table, expected)
+
+    def test_cached_table_holds_two_index_arrays(self):
+        # the (3,10) length-10 cache: row-pair codes of the 3 canonical row
+        # sequences and one front and one back index per candidate, not k * n terms
+        pairs, front, back = _cycle_table(3, 10, 5)
+        assert pairs.shape == (3, 5)
+        assert front.shape == back.shape == (177_120,)
+        assert front.dtype == back.dtype == np.intp
+        assert pairs.size + front.size + back.size == 2 * 177_120 + 15
+
+    @pytest.mark.parametrize("l", range(2, 13))
+    def test_half_grids_stay_small(self, l):
+        # the half grids, n_r * L^h and n_r * L^(k-h) cells, hold at most
+        # 8/3 * k * n cells together (reached at L = 2, length 12), and from
+        # L = 4 on each holds at most the candidate count n
+        for k in range(2, 7):
+            table = _cycle_table(3, l, k) if _sequence_count(3, l, k) <= SEQUENCE_BUDGET else None
+            if table is None:
+                continue
+            pairs, front, _ = table
+            n, grids = front.size, [len(pairs) * l ** ((k + 1) // 2), len(pairs) * l ** (k // 2)]
+            assert 3 * sum(grids) <= 8 * k * n, (k, grids, n)
+            if l >= 4:
+                assert max(grids) <= n, (k, grids, n)
 
 
 class TestGirthReport:
@@ -540,6 +585,36 @@ class TestSpectrumWitness:
             for length in (4, 6, 8, 10, 12):
                 assert find_cycle(m, p, length) == _reference_find_cycle(m, p, length)
             assert _outcome(girth_fast, m, p) == _outcome(_reference_girth_fast, m, p)
+
+
+class TestMeetInTheMiddle:
+    """The split-index sums against Python integers, candidate by candidate."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=_matrices(
+            st.integers(2, 4),
+            st.integers(2, 7),
+            st.one_of(st.integers(0, MAX_VALUE), st.sampled_from([0, MAX_VALUE])),
+        ),
+        length=st.sampled_from([4, 6, 8, 10, 12]),
+        p=st.integers(2, 60),
+    )
+    def test_sums_and_witnesses_match_python_integers(self, m, length, p):
+        j, l, k = m.rows, m.cols, length // 2
+        if _sequence_count(j, l, k) > SEQUENCE_BUDGET:
+            with pytest.raises(BudgetError):
+                exponent_sums(m, length)
+            return
+        sums = exponent_sums(m, length)
+        terms = _decoded_table(j, l, k)
+        assert len(sums) == (0 if terms is None else terms.shape[1])
+        for i, total in enumerate(sums.tolist()):
+            rows = tuple((terms[:, i] // (j * l)).tolist())
+            cols = tuple((terms[:, i] % l).tolist())
+            assert CycleWitness(length, rows, cols, 2).exponent_sum(m) == total
+        for q in {p, *(abs(s) for s in sums[:3].tolist() if 2 <= abs(s) <= MAX_VALUE)}:
+            assert find_cycle(m, q, length) == _reference_find_cycle(m, q, length)
 
 
 def _reference_shortest_cycle(matrix, p):
