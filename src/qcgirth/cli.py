@@ -118,21 +118,11 @@ def _dumps_table(head: dict, key: str, item: str, values: list[int]) -> str:
 _MEMBER = '    {\n      "P": %d,\n      "N": %d,\n      "girth": %d\n    }'
 
 
-def _manifest_json(matrix, q: int, sizes) -> str:
-    """``json.dumps(family_manifest(...), indent=2)`` of the members at *sizes*.
-
-    The text is written from the :func:`family_columns` rows; no member or
-    per-member dict is built.
-    """
-    head = family_manifest(matrix, q, [])  # seed, Q and min_P, with no members
-    values = family_columns(matrix, sizes).ravel().tolist()
-    return _dumps_table(head, "members", _MEMBER, values)
-
-
 def _cmd_extend(args) -> CommandOutcome:
-    matrix = load_matrix(args.matrix)
-    family = extend_family(matrix, args.q, args.p_lo, args.p_hi)
-    return CommandOutcome(EXIT_OK, _manifest_json(matrix, args.q, family.sizes))
+    family = extend_family(load_matrix(args.matrix), args.q, args.p_lo, args.p_hi)
+    head = family_manifest(family[:0], args.q)  # seed, Q and min_P, with no members
+    values = family_columns(family).ravel().tolist()
+    return CommandOutcome(EXIT_OK, _dumps_table(head, "members", _MEMBER, values))
 
 
 def _cmd_search(args) -> CommandOutcome:

@@ -8,6 +8,7 @@ the row-2 argmax column: [[0,0,0],[0,8,9],[0,39,25]] passes all three at
 Q = 43, yet a 10-cycle closes at P = 79.  So min_P is the exact bound
 :meth:`CycleSpectrum.bound`, max|S| + 1 over the exponent sums S (P divides
 a nonzero S only if P <= |S|); under that hypothesis it equals the formula.
+:class:`QcFamily` states the family rule once: it refuses a size below min_P.
 
 "Second largest" is read over the multiset of row-2 values: a repeated
 maximum makes the gap zero, which fails the condition for any nontrivial
@@ -116,14 +117,31 @@ def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
 
 @dataclass(frozen=True)
 class QcFamily(Sequence[QcCode]):
-    """The read-only members of one seed's family, one per size in *sizes*.
+    """The girth-12 members of one seed's family, one per size in *sizes*.
 
-    A member is built only when it is read; a slice is the family over the
-    sliced range.
+    A seed with no bound min_P, or a size below it, raises ValueError.  A
+    member is built only when it is read, a slice is the family over the
+    sliced range, and ``in`` and :meth:`index` read *sizes* alone.
     """
 
     seed: ExponentMatrix
     sizes: range
+
+    def __post_init__(self):
+        if not isinstance(self.sizes, range):
+            raise TypeError(f"family sizes must be a range, got {type(self.sizes).__name__}")
+        up = self.sizes if self.sizes.step > 0 else self.sizes[::-1]
+        if not up:
+            return
+        min_p = self.seed.spectrum.bound()
+        if min_p is None:
+            raise ValueError("no min_P: no P0 makes every P >= P0 girth 12 (the shape lacks "
+                             "12-cycles at some P, or an exponent sum is zero)")
+        if up[0] < min_p:
+            raise ValueError("P range starts below the certified extension bound: "
+                             f"{up[0]} < min_P={min_p}")
+        if up[-1] > MAX_VALUE:  # raises for the first size past it
+            QcCode(self.seed, up[max(0, (MAX_VALUE - up[0]) // up.step + 1)])
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -133,44 +151,34 @@ class QcFamily(Sequence[QcCode]):
             return QcFamily(self.seed, self.sizes[index])
         return QcCode(self.seed, self.sizes[index])
 
+    def __contains__(self, code) -> bool:
+        return (isinstance(code, QcCode) and code.exponents == self.seed
+                and code.circulant_size in self.sizes)
 
-def _refuse_below_bound(p_lo: int, min_p: int | None) -> None:
-    """The family rule: every P >= min_P is girth 12, and no smaller P is certified."""
-    if min_p is None:
-        raise ValueError("no min_P: no P0 makes every P >= P0 girth 12 (the shape lacks "
-                         "12-cycles at some P, or an exponent sum is zero)")
-    if p_lo < min_p:
-        raise ValueError(
-            f"P range starts below the certified extension bound: {p_lo} < min_P={min_p}"
-        )
+    def index(self, code, start: int = 0, stop: int | None = None) -> int:
+        """The position of *code*, searched in ``[start:stop]`` as ``list.index`` does."""
+        if code in self[start:stop]:
+            return self.sizes.index(code.circulant_size)
+        raise ValueError(f"{code!r} is not in the family")
 
 
 def extend_family(matrix: ExponentMatrix, q: int, p_lo: int, p_hi: int) -> QcFamily:
     """The family of one code per circulant size in [p_lo, p_hi], all girth 12.
 
-    The seed must pass :func:`check_seed_conditions` at Q and p_lo must be
-    at or above its bound min_P = max|S| + 1, which no exponent sum S
-    reaches, so no member's P divides one.  Windows of more than
-    MAX_FAMILY_MEMBERS sizes raise BudgetError before any work starts, and
-    a window past MAX_VALUE raises ValueError.  No member is built here.
+    The seed must pass :func:`check_seed_conditions` at Q, and the window
+    must be non-empty; :class:`QcFamily` refuses a p_lo below min_P and a
+    window past MAX_VALUE.  Windows of more than MAX_FAMILY_MEMBERS sizes
+    raise BudgetError before any work starts.  No member is built here.
     """
     if p_hi - p_lo + 1 > MAX_FAMILY_MEMBERS:
-        raise BudgetError(
-            f"P window {p_lo}..{p_hi} holds {p_hi - p_lo + 1} members, over the "
-            f"cap of {MAX_FAMILY_MEMBERS}"
-        )
+        raise BudgetError(f"P window {p_lo}..{p_hi} holds {p_hi - p_lo + 1} members, "
+                          f"over the cap of {MAX_FAMILY_MEMBERS}")
     report = check_seed_conditions(matrix, q)
     if not report.all_pass:
-        raise ValueError(
-            "seed fails the extension conditions: " + ", ".join(report.failures)
-        )
-    _refuse_below_bound(p_lo, report.min_p)
+        raise ValueError("seed fails the extension conditions: " + ", ".join(report.failures))
     if p_hi < p_lo:
         raise ValueError(f"empty range: {p_hi} < {p_lo}")
-    sizes = range(p_lo, p_hi + 1)
-    if sizes[-1] > MAX_VALUE:
-        QcCode(matrix, max(sizes[0], MAX_VALUE + 1))  # raises for the first size past it
-    return QcFamily(matrix, sizes)
+    return QcFamily(matrix, range(p_lo, p_hi + 1))
 
 
 def tightness_witness(matrix: ExponentMatrix) -> CycleWitness:
@@ -190,43 +198,23 @@ def tightness_witness(matrix: ExponentMatrix) -> CycleWitness:
     return girth_fast(matrix, bound - 1).witness
 
 
-def family_columns(matrix: ExponentMatrix, sizes: Sequence[int]) -> np.ndarray:
-    """The (P, N, girth) rows of the members of *matrix*'s family at *sizes*.
+def family_columns(family: QcFamily) -> np.ndarray:
+    """The (P, N, girth) rows of *family*'s members, in the order of its sizes.
 
-    Every member is girth 12 by the family bound min_P, so no size is tested;
-    any size when the seed has no bound, or a size below min_P, raises
-    ValueError.  N is L·P, exact in int64 because the cycle tables stop at
-    L = 12.
+    :class:`QcFamily` certifies every member girth 12, so no size is tested.
+    N is L·P, exact in int64 because the cycle tables stop at L = 12.
     """
-    if isinstance(sizes, range):
-        ps = np.arange(sizes.start, sizes.stop, sizes.step, dtype=np.int64)
-    else:
-        ps = np.array(sizes, dtype=np.int64)
-    if ps.size:
-        _refuse_below_bound(int(ps.min()), matrix.spectrum.bound())
-    return np.column_stack([ps, matrix.cols * ps, np.full(ps.size, 12, dtype=np.int64)])
+    sizes = family.sizes
+    ps = np.arange(sizes.start, sizes.stop, sizes.step, dtype=np.int64)
+    return np.column_stack([ps, family.seed.cols * ps, np.full(ps.size, 12, dtype=np.int64)])
 
 
-def family_manifest(
-    matrix: ExponentMatrix,
-    q: int,
-    codes: Sequence[QcCode],
-    *,
-    label: str | None = None,
-) -> dict:
-    """JSON-ready manifest: seed, Q, bound and one entry per member.
-
-    The codes are members of *matrix*'s family, and the entries are the rows
-    of :func:`family_columns`, which refuses a code below min_P; a
-    :class:`QcFamily` gives its sizes as its range, without building a member.
-    """
-    sizes = codes.sizes if isinstance(codes, QcFamily) else [c.circulant_size for c in codes]
+def family_manifest(family: QcFamily, q: int) -> dict:
+    """JSON-ready manifest: seed, Q, bound and one :func:`family_columns` entry per member."""
     return {
-        "seed": matrix_to_json(matrix, label),
+        "seed": matrix_to_json(family.seed),
         "Q": q,
-        "min_P": matrix.spectrum.bound(),
-        "members": [
-            {"P": p, "N": n, "girth": girth}
-            for p, n, girth in family_columns(matrix, sizes).tolist()
-        ],
+        "min_P": family.seed.spectrum.bound(),
+        "members": [{"P": p, "N": n, "girth": girth}
+                    for p, n, girth in family_columns(family).tolist()],
     }

@@ -216,6 +216,14 @@ class TestExtend:
         assert outcome.exit_code == 3
         assert "exceed the budget" in capsys.readouterr().err
 
+    def test_reversed_window_is_input_error(self, seed_path, capsys):
+        # a window with --to below --from is empty, even when --from is below min_P
+        for p_lo, p_hi in (("500", "400"), ("400", "300")):
+            outcome = run(["extend", "--matrix", seed_path, "--q", "393",
+                           "--from", p_lo, "--to", p_hi])
+            assert outcome.exit_code == 2
+            assert capsys.readouterr().err == f"error: empty range: {p_hi} < {p_lo}\n"
+
     def test_full_cap_builds_no_member(self, seed_path, built_codes):
         outcome = run(
             ["extend", "--matrix", seed_path, "--q", "393", "--from", "449", "--to", "1000448"]
@@ -284,7 +292,7 @@ class TestManifestText:
         outcome = run(["extend", "--matrix", certified_seed_paths[index], "--q", str(q),
                        "--from", str(p_lo), "--to", str(p_hi)])
         assert outcome.exit_code == 0
-        manifest = family_manifest(matrix, q, extend_family(matrix, q, p_lo, p_hi))
+        manifest = family_manifest(extend_family(matrix, q, p_lo, p_hi), q)
         assert outcome.stdout_payload == json.dumps(manifest, indent=2)
 
 

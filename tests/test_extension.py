@@ -229,20 +229,34 @@ class TestFamilySequence:
         assert list(reversed(codes)) == reference[::-1]
         assert all(code in codes for code in reference)
         other = ExponentMatrix.from_rows([[0, 0], [0, 1], [0, 3]])
-        for outsider in (QcCode(REFERENCE_SEED, lo - 1), QcCode(REFERENCE_SEED, hi + 1),
-                         QcCode(other, lo), lo, None):
+        outsiders = [QcCode(REFERENCE_SEED, lo - 1), QcCode(REFERENCE_SEED, hi + 1),
+                     QcCode(other, lo), lo, None]
+        for outsider in outsiders:
             assert (outsider in codes) is (outsider in reference) is False
+        bounds = (window[0] or 0, width if window[1] is None else window[1])
+        for code in reference + outsiders:
+            assert _position(codes, code, *bounds) == _position(reference, code, *bounds)
 
     def test_full_window_builds_no_member(self, built_codes):
         hi = 449 + MAX_FAMILY_MEMBERS - 1
         codes = extend_family(REFERENCE_SEED, 393, 449, hi)
         assert len(codes) == MAX_FAMILY_MEMBERS
         assert built_codes == []
-        members = family_manifest(REFERENCE_SEED, 393, codes)["members"]
+        members = family_manifest(codes, 393)["members"]
         assert built_codes == []
         assert members[-1] == {"P": hi, "N": 6 * hi, "girth": 12}
         assert codes[-1].block_length == 6 * hi
         assert built_codes == [hi]
+
+    def test_in_and_index_on_the_full_window_build_no_member(self, built_codes):
+        hi = 449 + MAX_FAMILY_MEMBERS - 1
+        codes = extend_family(REFERENCE_SEED, 393, 449, hi)
+        last, past = QcCode(REFERENCE_SEED, hi), QcCode(REFERENCE_SEED, hi + 1)
+        assert last in codes and past not in codes
+        assert codes.index(last) == MAX_FAMILY_MEMBERS - 1
+        with pytest.raises(ValueError, match="not in the family"):
+            codes.index(past)
+        assert built_codes == [hi, hi + 1]  # the two probes only
 
     def test_window_past_max_value_raises_for_its_first_size(self, ref_seed):
         top = 2**59
@@ -251,6 +265,58 @@ class TestFamilySequence:
         with pytest.raises(ValueError, match=f"got {top + 3}$"):
             extend_family(ref_seed, 393, top + 3, top + 8)
         assert extend_family(ref_seed, 393, top - 1, top)[-1].circulant_size == top
+
+
+def _position(seq, code, start, stop):
+    """``seq.index(code, start, stop)``, or None when *code* is not found there."""
+    try:
+        return seq.index(code, start, stop)
+    except ValueError:
+        return None
+
+
+class TestFamilyConstructor:
+    """QcFamily holds only sizes at or above its seed's bound min_P = 449."""
+
+    @pytest.mark.parametrize("sizes", [range(400, 410), range(409, 399, -1), range(448, 460),
+                                       range(459, 447, -1), range(500, 440, -3)])
+    def test_refuses_a_size_below_the_bound(self, sizes):
+        with pytest.raises(ValueError, match=f"extension bound: {min(sizes)} < min_P=449$"):
+            QcFamily(REFERENCE_SEED, sizes)
+
+    @pytest.mark.parametrize("sizes, first_past", [
+        (range(2**59 - 1, 2**59 + 2), 2**59 + 1),
+        (range(2**59 + 1, 2**59 - 2, -1), 2**59 + 1),
+        (range(2**59 - 1, 2**59 + 10, 4), 2**59 + 3),
+        (range(2**59 + 7, 2**59 - 2, -4), 2**59 + 3),
+        (range(2**59 + 5, 2**59 + 9), 2**59 + 5),
+    ])
+    def test_refuses_a_size_past_max_value(self, sizes, first_past):
+        with pytest.raises(ValueError, match=f"got {first_past}$"):
+            QcFamily(REFERENCE_SEED, sizes)
+
+    @pytest.mark.parametrize("sizes", [[449, 450], (449,), 449])
+    def test_refuses_sizes_that_are_not_a_range(self, sizes):
+        with pytest.raises(TypeError, match="must be a range"):
+            QcFamily(REFERENCE_SEED, sizes)
+
+    @pytest.mark.parametrize("sizes", [range(0), range(400, 400), range(410, 400),
+                                       range(400, 410, -1), range(2**60, 2**60)])
+    def test_accepts_an_empty_range(self, sizes):
+        assert len(QcFamily(REFERENCE_SEED, sizes)) == 0
+        no_bound = ExponentMatrix.from_rows([[0, 0, 0], [0, 1, 2], [0, 10, 7]])
+        assert list(QcFamily(no_bound, sizes)) == []
+
+    @pytest.mark.parametrize("sizes", [range(449, 461), range(460, 448, -1),
+                                       range(2**59 - 11, 2**59 + 1)])
+    def test_accepts_every_slice_of_a_family(self, sizes):
+        family = QcFamily(REFERENCE_SEED, sizes)
+        for start in range(-13, 14):
+            for stop in range(-13, 14):
+                for step in (-12, -5, -2, -1, 1, 2, 5, 12):
+                    part = family[start:stop:step]
+                    assert part.sizes == sizes[start:stop:step]
+                    assert part[::-1].sizes == sizes[start:stop:step][::-1]
 
 
 class TestExactBound:
@@ -319,7 +385,7 @@ class TestTightnessWitness:
 class TestFamilyManifest:
     def test_schema(self, ref_seed):
         codes = extend_family(ref_seed, 393, 449, 451)
-        manifest = family_manifest(ref_seed, 393, codes)
+        manifest = family_manifest(codes, 393)
         assert set(manifest) == {"seed", "Q", "min_P", "members"}
         assert manifest["Q"] == 393
         assert manifest["min_P"] == 449
@@ -330,23 +396,22 @@ class TestFamilyManifest:
         # the planted 8-cycle raises the bound to 456: P = 455 is refused,
         # P = 456 is listed with girth 12
         _plant_8_cycle_at_455(monkeypatch)
-        for sizes in ([455], [457, 455, 456], range(455, 460)):
+        for sizes in (range(455, 456), range(457, 454, -1), range(455, 460)):
             with pytest.raises(ValueError, match="455 < min_P=456"):
-                family_columns(ref_seed, sizes)
-            with pytest.raises(ValueError, match="455 < min_P=456"):
-                family_manifest(ref_seed, 393, [QcCode(ref_seed, p) for p in sizes])
-        manifest = family_manifest(ref_seed, 393, [QcCode(ref_seed, 456)])
+                QcFamily(ref_seed, sizes)
+        manifest = family_manifest(QcFamily(ref_seed, range(457, 455, -1)), 393)
         assert manifest["min_P"] == 456
-        assert manifest["members"] == [{"P": 456, "N": 2736, "girth": 12}]
-        assert family_columns(ref_seed, range(456, 458)).tolist() == [
+        assert manifest["members"] == [{"P": 457, "N": 2742, "girth": 12},
+                                       {"P": 456, "N": 2736, "girth": 12}]
+        assert family_columns(QcFamily(ref_seed, range(456, 458))).tolist() == [
             [456, 2736, 12], [457, 2742, 12]]
 
     def test_refuses_a_seed_with_no_bound(self):
         # the 8-cycle on block-rows 0, 1 through columns 0, 1, 2, 1 sums to 0
         m = ExponentMatrix.from_rows([[0, 0, 0], [0, 1, 2], [0, 10, 7]])
-        for sizes in ([500], range(2, 10)):
+        for sizes in (range(500, 501), range(2, 10), range(9, 1, -1)):
             with pytest.raises(ValueError, match="no min_P"):
-                family_columns(m, sizes)
+                QcFamily(m, sizes)
 
     @pytest.mark.parametrize("rows", [[[0, 0], [0, 1]], [[0], [0], [0]], [[0, 1, 2]]])
     def test_refuses_a_shape_without_12_cycles_at_every_p(self, rows):
@@ -355,9 +420,7 @@ class TestFamilyManifest:
         m = ExponentMatrix.from_rows(rows)
         assert m.spectrum.bound() is None
         with pytest.raises(ValueError, match="no min_P"):
-            family_columns(m, [5])
-        with pytest.raises(ValueError, match="no min_P"):
-            family_manifest(m, 3, [QcCode(m, 5)])
+            QcFamily(m, range(5, 6))
 
     def test_shared_spectrum_scans_each_length_once(self, monkeypatch):
         import qcgirth.girth as girth
@@ -372,7 +435,7 @@ class TestFamilyManifest:
         seed = ExponentMatrix(REFERENCE_SEED.entries)
         assert check_seed_conditions(seed, 393).all_pass
         codes = extend_family(seed, 393, 449, 478)
-        family_manifest(seed, 393, codes)
+        family_manifest(codes, 393)
         assert tightness_witness(seed).modulus == 448
         assert girth_fast(seed, 448).girth == 8
         assert find_cycle(seed, 448, 8) is not None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qcgirth import (
     save_matrix,
 )
 
+from qcgirth.cli import run
 from qcgirth.matrices import MAX_VALUE
 
 from conftest import qc_codes, random_canonical_matrix
@@ -229,6 +231,25 @@ class TestMatrixJson:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 2, "entries": [[0, -4]]})
+
+    @pytest.mark.parametrize("entry, message", [
+        (-4, "negative exponent -4"),
+        (1.5, "must be integers, got 1.5"),
+        (True, "must be integers, got True"),
+        (None, "must be integers, got None"),
+        ("3", "must be integers, got '3'"),
+        ([1], r"must be integers, got \[1\]"),
+        (2**59 + 1, f"exponent {2**59 + 1} exceeds the limit"),
+    ])
+    def test_bad_entry_rejected_by_the_matrix_rule(self, tmp_path, capsys, entry, message):
+        obj = {"rows": 1, "cols": 2, "entries": [[0, entry]]}
+        with pytest.raises(ValueError, match=message):
+            matrix_from_json(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert run(["verify", "--matrix", str(path), "--q", "5"]).exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
