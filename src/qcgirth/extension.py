@@ -121,7 +121,7 @@ class QcFamily(Sequence[QcCode]):
 
     A seed with no bound min_P, or a size below it, raises ValueError.  A
     member is built only when it is read, a slice is the family over the
-    sliced range, and ``in`` and :meth:`index` read *sizes* alone.
+    sliced range, and ``in``, :meth:`index` and :meth:`count` read *sizes* alone.
     """
 
     seed: ExponentMatrix
@@ -160,6 +160,10 @@ class QcFamily(Sequence[QcCode]):
         if code in self[start:stop]:
             return self.sizes.index(code.circulant_size)
         raise ValueError(f"{code!r} is not in the family")
+
+    def count(self, code) -> int:
+        """1 if *code* is a member, else 0: the sizes of a range are distinct."""
+        return int(code in self)
 
 
 def extend_family(matrix: ExponentMatrix, q: int, p_lo: int, p_hi: int) -> QcFamily:

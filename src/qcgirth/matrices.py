@@ -261,7 +261,7 @@ def matrix_from_json(obj) -> ExponentMatrix:
         if key not in obj:
             raise ValueError(f"missing key {key!r}")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in (rows, cols)):
         raise ValueError("rows and cols must be positive integers")
     if "label" in obj and not isinstance(obj["label"], str):
         raise ValueError("label must be a string")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
@@ -38,6 +39,17 @@ def built_codes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(QcCode, "__post_init__", counted)
     return built
+
+
+@pytest.fixture
+def no_leaked_children():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"child process {pid or '(still running)'} outlived the test")
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from qcgirth import (
     ChannelParams,
@@ -32,6 +33,9 @@ from qcgirth import (
 )
 
 from conftest import REFERENCE_SEED, random_canonical_matrix
+
+# simulate may fork decoder workers; none may outlive a test
+pytestmark = pytest.mark.usefixtures("no_leaked_children")
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -28,6 +28,9 @@ from qcgirth.cli import run
 
 from conftest import REFERENCE_SEED, REPO_ROOT
 
+# simulate may fork decoder workers; none may outlive a test
+pytestmark = pytest.mark.usefixtures("no_leaked_children")
+
 
 @pytest.fixture
 def seed_path(seed_fixture_path):

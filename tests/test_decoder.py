@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -19,14 +22,22 @@ from qcgirth import (
     summaries_to_csv,
     syndrome,
 )
+from qcgirth import decoder
+from qcgirth.cli import run
 from qcgirth.decoder import (
     _ATANH_LIMIT,
+    _NOT_FINITE,
     LLR_CLAMP,
     DecodeResult,
     _sp_decode,
     _sum_in_order,
 )
 from qcgirth.matrices import qc_layout
+
+from conftest import REFERENCE_SEED, REPO_ROOT
+
+# monte_carlo may fork decoder workers; none may outlive a test
+pytestmark = pytest.mark.usefixtures("no_leaked_children")
 
 
 TOY_H = SparseBinaryMatrix(
@@ -390,3 +401,205 @@ class TestCsv:
         assert first[0] == "0.0"
         assert first[-1] in ("true", "false")
         assert "," in lines[2]
+
+
+SPLIT_CODE = QcCode(REFERENCE_SEED, 29)
+
+
+def _on_workers(k, min_error_frames, frame_cap, channel):
+    """monte_carlo's summary, or its ValueError text, with frames split over k processes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "_worker_count", lambda frame_cap, edges: k)
+        try:
+            return monte_carlo(SPLIT_CODE, channel, 5, min_error_frames, frame_cap)
+        except ValueError as e:
+            return f"ValueError: {e}"
+
+
+@pytest.fixture
+def time_limit():
+    """Fail, rather than hang, a test whose monte_carlo call waits on a lost child."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 120 s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestFrameSplit:
+    """Frame f is decoded by worker f mod K; the summary must not depend on K."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.sampled_from([2, 3]),
+        ebn0=st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+        rng_seed=st.integers(0, 40),
+        min_error_frames=st.integers(1, 8),
+        frame_cap=st.integers(1, 40),
+    )
+    def test_matches_serial(self, k, ebn0, rng_seed, min_error_frames, frame_cap):
+        channel = ChannelParams(ebn0, 0.5, rng_seed)
+        serial = _on_workers(1, min_error_frames, frame_cap, channel)
+        assert _on_workers(k, min_error_frames, frame_cap, channel) == serial
+
+    # (K, rng_seed, worker that decodes the frame of the stopping error)
+    @pytest.mark.parametrize(
+        "k, rng_seed, owner", [(2, 1, 0), (2, 0, 1), (3, 5, 0), (3, 2, 1), (3, 0, 2)]
+    )
+    def test_stopping_error_on_parent_or_child_frame(self, k, rng_seed, owner):
+        channel = ChannelParams(2.0, 0.5, rng_seed)
+        serial = _on_workers(1, 3, 200, channel)
+        assert not serial.cap_hit and (serial.frames - 1) % k == owner
+        assert _on_workers(k, 3, 200, channel) == serial
+
+    @pytest.mark.parametrize("frame_cap", [1, 2])
+    def test_frame_cap_below_worker_count(self, frame_cap):
+        channel = ChannelParams(0.0, 0.5, 9)
+        serial = _on_workers(1, 50, frame_cap, channel)
+        assert serial.frames == frame_cap
+        assert _on_workers(3, 50, frame_cap, channel) == serial
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_noiseless_point(self, k):
+        channel = ChannelParams(math.inf, 0.5, 4)
+        serial = _on_workers(1, 2, 7, channel)
+        assert serial.frames == 7 and serial.fer == 0.0
+        assert _on_workers(k, 2, 7, channel) == serial
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_overflowing_channel_raises_the_serial_error(self, k):
+        channel = ChannelParams(3080.0, 0.5, 1)
+        serial = _on_workers(1, 2, 6, channel)
+        assert serial == "ValueError: channel LLRs at 3080.0 dB are not finite"
+        assert _on_workers(k, 2, 6, channel) == serial
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("bad_frame", [1, 2, 4, 5, 7])
+    @pytest.mark.parametrize("min_error_frames", [1, 2, 4])
+    def test_overflow_sentinel_stops_at_the_serial_frame(self, k, bad_frame, min_error_frames):
+        # Only bad_frame overflows; the serial path raises only if it reaches it.
+        real = decoder._frame_wrong_bits
+
+        def one_bad_frame(cols, gather, channel, max_iter, frame):
+            if frame == bad_frame:
+                return _NOT_FINITE
+            return real(cols, gather, channel, max_iter, frame)
+
+        channel = ChannelParams(2.0, 0.5, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "_frame_wrong_bits", one_bad_frame)
+            serial = _on_workers(1, min_error_frames, 12, channel)
+            assert _on_workers(k, min_error_frames, 12, channel) == serial
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("doomed_frame", [1, 5, 7, 11])  # child frames for K = 2 and 3
+    def test_killed_child_leaves_the_serial_answer(self, k, doomed_frame):
+        # A child dies by SIGKILL when it reaches doomed_frame; the parent
+        # decodes the frames whose counts never arrive.
+        parent, real = os.getpid(), decoder._frame_wrong_bits
+
+        def mortal(cols, gather, channel, max_iter, frame):
+            if frame == doomed_frame and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cols, gather, channel, max_iter, frame)
+
+        channel = ChannelParams(2.0, 0.5, 3)
+        serial = _on_workers(1, 50, 30, channel)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "_frame_wrong_bits", mortal)
+            assert _on_workers(k, 50, 30, channel) == serial
+
+    @pytest.mark.parametrize("failing_fork", [1, 2])
+    def test_failed_fork_leaves_the_serial_answer(self, failing_fork, monkeypatch):
+        # The worker whose fork fails has its frames decoded by the parent.
+        real_fork, forks = os.fork, []
+
+        def flaky_fork():
+            forks.append(None)
+            if len(forks) == failing_fork:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        channel = ChannelParams(2.0, 0.5, 3)
+        serial = _on_workers(1, 50, 30, channel)
+        monkeypatch.setattr(os, "fork", flaky_fork)
+        assert _on_workers(3, 50, 30, channel) == serial
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("bad_frame", [None, 3])
+    def test_children_are_killed_on_early_stop_and_on_error(self, bad_frame, monkeypatch):
+        # Every frame errs at -2 dB, so the run ends at the parent's frame 3,
+        # by the stop rule or by the overflow.  Each child still has 5,000
+        # frames to go, and only a SIGKILL ends it that soon.
+        real_frame, real_waitpid, statuses = decoder._frame_wrong_bits, os.waitpid, []
+
+        def stopping(cols, gather, channel, max_iter, frame):
+            if frame == bad_frame:
+                return _NOT_FINITE
+            return real_frame(cols, gather, channel, max_iter, frame)
+
+        def recording(pid, options):
+            statuses.append(real_waitpid(pid, options)[1])
+            return pid, statuses[-1]
+
+        monkeypatch.setattr(decoder, "_frame_wrong_bits", stopping)
+        monkeypatch.setattr(os, "waitpid", recording)
+        channel = ChannelParams(-2.0, 0.5, 7)
+        summary = _on_workers(3, 4, 15_000, channel)
+        if bad_frame:
+            assert summary == "ValueError: channel LLRs at -2.0 dB are not finite"
+        else:
+            assert summary.frames == 4 and not summary.cap_hit
+        assert len(statuses) == 2
+        assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses)
+
+    def test_cli_output_and_stderr_do_not_depend_on_workers(self, capfd, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        argv = [
+            "simulate", "--matrix", "fixtures/seed_3x6.json", "--p", "29",
+            "--ebn0", "1,inf,2.5", "--max-iter", "10", "--min-error-frames", "3",
+            "--frame-cap", "25", "--seed", "8",
+        ]
+        outputs = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(decoder, "_worker_count", lambda frame_cap, edges, k=k: k)
+            outcome = run(argv)
+            out, err = capfd.readouterr()
+            assert out == "" and err.count("\n") == 3 and err.startswith("simulated ")
+            outputs.append((outcome, err))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestWorkerCount:
+    def test_sizes_by_cores_cap_and_frames(self):
+        cores = len(os.sched_getaffinity(0))
+        assert decoder._worker_count(10 ** 6, 10 ** 6) == min(cores, decoder._MAX_WORKERS)
+        assert decoder._worker_count(2, 10 ** 9) == min(cores, 2)
+        assert decoder._worker_count(1, 10 ** 9) == 1
+
+    def test_short_runs_stay_serial(self):
+        assert decoder._worker_count(10, decoder._SPLIT_MIN_WORK // 10 - 1) == 1
+
+    def test_one_core_stays_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert decoder._worker_count(10 ** 6, 10 ** 6) == 1
+
+    def test_no_fork_stays_serial(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert decoder._worker_count(10 ** 6, 10 ** 6) == 1
+
+    def test_threaded_host_stays_serial(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert decoder._worker_count(10 ** 6, 10 ** 6) == 1
+        finally:
+            release.set()
+            other.join()

@@ -258,6 +258,21 @@ class TestFamilySequence:
             codes.index(past)
         assert built_codes == [hi, hi + 1]  # the two probes only
 
+    def test_count_builds_no_member(self, built_codes):
+        codes = extend_family(REFERENCE_SEED, 393, 449, 449 + MAX_FAMILY_MEMBERS - 1)
+        probes = [QcCode(REFERENCE_SEED, 500), QcCode(REFERENCE_SEED, 448)]
+        assert [codes.count(code) for code in probes] == [1, 0]
+        assert built_codes == [500, 448]  # the two probes only
+
+    def test_count_agrees_with_the_list(self):
+        codes = extend_family(REFERENCE_SEED, 393, 449, 460)
+        other = ExponentMatrix.from_rows([[0, 0], [0, 1], [0, 3]])
+        probes = [*codes, QcCode(REFERENCE_SEED, 448), QcCode(REFERENCE_SEED, 461),
+                  QcCode(other, 450), 450, None]
+        for family in (codes, codes[::-2], codes[3:3]):
+            members = list(family)
+            assert [family.count(c) for c in probes] == [members.count(c) for c in probes]
+
     def test_window_past_max_value_raises_for_its_first_size(self, ref_seed):
         top = 2**59
         with pytest.raises(ValueError, match=f"got {top + 1}$"):

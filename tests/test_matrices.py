@@ -251,6 +251,21 @@ class TestMatrixJson:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(message, err)
 
+    @pytest.mark.parametrize("shape", [
+        {"rows": True, "cols": 2}, {"rows": 1, "cols": True}, {"rows": 1, "cols": 2.0},
+        {"rows": 0, "cols": 2}, {"rows": 1, "cols": None},
+    ])
+    def test_shape_must_be_positive_integers(self, tmp_path, capsys, shape):
+        # JSON true used to pass as 1 and load a 1 x 2 matrix
+        obj = {**shape, "entries": [[0, 1]]}
+        with pytest.raises(ValueError, match="rows and cols must be positive integers"):
+            matrix_from_json(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert run(["verify", "--matrix", str(path), "--q", "5"]).exit_code == 2
+        err = capsys.readouterr().err
+        assert err == "error: rows and cols must be positive integers\n"
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 3, "cols": 2, "entries": [[0, 0], [0, 1]]})
