@@ -19,7 +19,7 @@ fails are its lines walked in file order, to report the first bad one.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -78,10 +78,7 @@ def import_alist(text: str) -> SparseBinaryMatrix:
 
     col_of, row_in_col = _support_block(lines[4 : 4 + n], col_weights, m, "column")
     row_of, col_in_row = _support_block(lines[4 + n : 4 + n + m], row_weights, n, "row")
-    flat = col_in_row.tolist()
-    ends = list(accumulate(row_weights))
-    rows = tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
-    matrix = SparseBinaryMatrix(m, n, rows)
+    matrix = SparseBinaryMatrix(m, n, np.cumsum([0, *row_weights]), col_in_row)
     if not np.array_equal(np.sort(row_in_col * n + col_of), row_of * n + col_in_row):
         raise ValueError("alist: column lists disagree with row lists")
     return matrix
@@ -98,7 +95,7 @@ def _support_block(lines: list[str], weights: list[int], bound: int, what: str):
     """(line, zero-based position) arrays of a block, sorted by line then position."""
     tokens = [line.split() for line in lines]
     try:
-        values = np.array(list(map(int, chain.from_iterable(tokens))), dtype=np.int64)
+        values = np.array(list(chain.from_iterable(tokens)), dtype=np.int64)  # int() of each str
     except (ValueError, OverflowError):  # a non-integer token, or a value past int64
         values = None
     if values is not None:

@@ -8,10 +8,11 @@ one at column (r + p) mod P for each local row r.
 Entries may exceed P: a seed matrix found at one circulant size is reused at
 many sizes, and :func:`expand` reduces entries mod P.  Every expansion (the
 sparse matrix, the decoder's edges, the BFS oracle's Tanner graph) comes from
-the arrays of one numpy builder, :func:`qc_layout`.  All values here are
-immutable after construction and safe to share across threads; the cached
-``layout`` and ``spectrum`` are filled once on first use, and a race only
-computes the same value twice.
+the arrays of one numpy builder, :func:`qc_layout`, and a sparse matrix
+keeps them as two flat index arrays, with no Python object per entry.  All
+values here are immutable after construction and safe to share across
+threads; the cached ``layout``, ``row_supports`` and ``spectrum`` are
+filled once on first use, and a race only computes the same value twice.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
 
@@ -139,37 +139,61 @@ class QcCode:
         return self.exponents.rows * self.circulant_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseBinaryMatrix:
-    """Binary matrix stored as per-row sorted column supports.
-
-    Row-major supports are the primary representation; the fixed-degree
-    :attr:`layout` and the column supports are derived from them.
+    """Binary matrix as compressed sparse rows: row r's ones sit at columns
+    ``indices[indptr[r]:indptr[r + 1]]``, strictly ascending.  Both are kept
+    as read-only int64 copies and checked as whole arrays; only a failed
+    check walks the rows, to name the first bad index.
     """
 
     n_rows: int
     n_cols: int
-    row_supports: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("matrix must have at least one row and one column")
-        if len(self.row_supports) != self.n_rows:
-            raise ValueError("row_supports length does not match n_rows")
-        for support in self.row_supports:
-            prev = -1
-            for c in support:
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise ValueError(f"column index must be an integer, got {c!r}")
-                if c <= prev:
-                    raise ValueError("column indices must be strictly increasing")
-                if c >= self.n_cols:
-                    raise ValueError(f"column index {c} out of range")
-                prev = c
+        indptr, indices = (np.asarray(a).astype(np.int64, casting="same_kind")  # no floats
+                           for a in (self.indptr, self.indices))
+        indptr.flags.writeable = indices.flags.writeable = False
+        self.__dict__.update(indptr=indptr, indices=indices)  # frozen: bypass __setattr__
+        if (indptr.ndim != 1 or indices.ndim != 1 or not indptr.size or indptr[0] != 0
+                or indptr[-1] != indices.size or (np.diff(indptr) < 0).any()):
+            raise ValueError("indptr must rise from 0 to len(indices) in flat arrays")
+        rising = np.diff(indices) > 0
+        rising[indptr[(indptr > 0) & (indptr < indices.size)] - 1] = True  # rows' first ones
+        fits = not indices.size or (indices.min() >= 0 and indices.max() < self.n_cols)
+        shaped = min(self.n_rows, self.n_cols) >= 1 and indptr.size == self.n_rows + 1
+        if not (shaped and fits and rising.all()):
+            _check_rows(self.n_rows, self.n_cols, self.row_supports)
+            raise AssertionError("SparseBinaryMatrix: array check and row walk disagree")
+
+    @classmethod
+    def from_rows(cls, n_rows: int, n_cols: int, row_supports) -> "SparseBinaryMatrix":
+        """From one sequence of strictly ascending Python int column indices per row."""
+        _check_rows(n_rows, n_cols, row_supports)
+        indptr = np.cumsum([0, *map(len, row_supports)])
+        indices = np.array([c for s in row_supports for c in s], dtype=np.int64)
+        return cls(n_rows, n_cols, indptr, indices)
+
+    def _key(self) -> tuple:
+        return self.n_rows, self.n_cols, self.indptr.tobytes(), self.indices.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, SparseBinaryMatrix) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @cached_property
+    def row_supports(self) -> tuple[tuple[int, ...], ...]:
+        """Per-row column tuples of Python ints, built on first read."""
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def ones_count(self) -> int:
-        return sum(len(s) for s in self.row_supports)
+        return self.indices.size
 
     @cached_property
     def layout(self) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +205,10 @@ class SparseBinaryMatrix:
         short column's end.
         """
         m, n = self.n_rows, self.n_cols
-        padded = zip_longest(*self.row_supports, fillvalue=n)
-        cols = np.array(list(padded), dtype=np.int64).reshape(-1, m)
+        row_deg = np.diff(self.indptr)
+        row = np.repeat(np.arange(m), row_deg)
+        cols = np.full((int(row_deg.max()), m), n, dtype=np.int64)
+        cols[np.arange(row.size) - self.indptr[row], row] = self.indices
         by_col = np.argsort((cols * m + np.arange(m)).ravel())
         col_deg = np.bincount(cols.ravel(), minlength=n + 1)[:n]
         slots = by_col[: int(col_deg.sum())]
@@ -199,6 +225,24 @@ class SparseBinaryMatrix:
             for c in support:
                 cols[c].append(r)
         return cols
+
+
+def _check_rows(n_rows: int, n_cols: int, row_supports) -> None:
+    """Raise the error of the first check, in row-major order, that the rows fail."""
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError("matrix must have at least one row and one column")
+    if len(row_supports) != n_rows:
+        raise ValueError("row_supports length does not match n_rows")
+    for support in row_supports:
+        prev = -1
+        for c in support:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError(f"column index must be an integer, got {c!r}")
+            if c <= prev:
+                raise ValueError("column indices must be strictly increasing")
+            if c >= n_cols:
+                raise ValueError(f"column index {c} out of range")
+            prev = c
 
 
 def qc_layout(code: QcCode) -> tuple[np.ndarray, np.ndarray]:
@@ -231,10 +275,11 @@ def expand(code: QcCode) -> SparseBinaryMatrix:
     The block at block-row u, block-col v is the circulant permutation with
     a one at column (r + p[u][v]) mod P for each local row r; exponents are
     reduced mod P before placement.  Deterministic: repeated calls yield
-    identical supports, whose entries are Python ints.
+    equal matrices.  Row u*P + r is column r of :func:`qc_layout`'s ``cols``.
     """
-    rows = zip(*qc_layout(code)[0].tolist())  # cols.T; the arrays are freed here
-    return SparseBinaryMatrix(code.parity_rows, code.block_length, tuple(rows))
+    cols = qc_layout(code)[0]
+    indptr = np.arange(0, cols.size + 1, cols.shape[0])
+    return SparseBinaryMatrix(code.parity_rows, code.block_length, indptr, cols.T.ravel())
 
 
 def matrix_to_json(matrix: ExponentMatrix, label: str | None = None) -> dict:

@@ -74,3 +74,14 @@ def qc_codes(draw):
     if draw(st.booleans()):
         rows = [[0] * l] + [[0] + row[1:] for row in rows[1:]]
     return QcCode(ExponentMatrix.from_rows(rows), p)
+
+
+@st.composite
+def irregular_rows(draw, max_rows=12, max_cols=30):
+    """(n_rows, n_cols, rows) of sorted int tuples, with empty and repeated rows."""
+    n_rows, n_cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    width = draw(st.sampled_from([0, 1, 3, 12, n_cols]))
+    row = st.sets(st.integers(0, n_cols - 1), max_size=width).map(lambda s: tuple(sorted(s)))
+    pool = draw(st.lists(row, min_size=1, max_size=n_rows))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    return n_rows, n_cols, tuple(rows)

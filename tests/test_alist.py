@@ -71,7 +71,7 @@ def _reference_import_alist(text: str) -> SparseBinaryMatrix:
         for i in range(m)
     ]
 
-    matrix = SparseBinaryMatrix(
+    matrix = SparseBinaryMatrix.from_rows(
         m, n, tuple(tuple(sorted(s)) for s in row_supports)
     )
     derived_cols = [tuple(s) for s in matrix.column_supports()]
@@ -109,7 +109,7 @@ def _reference_parse_support(line: str, weight: int, bound: int, what: str) -> l
 
 
 def test_identity_exact_text():
-    m = SparseBinaryMatrix(3, 3, ((0,), (1,), (2,)))
+    m = SparseBinaryMatrix.from_rows(3, 3, ((0,), (1,), (2,)))
     assert export_alist(m) == (
         "3 3\n"
         "1 1\n"
@@ -142,7 +142,7 @@ def _sparse_matrices(draw):
     supports = draw(
         st.lists(st.sets(st.integers(0, n_cols - 1)), min_size=n_rows, max_size=n_rows)
     )
-    return SparseBinaryMatrix(n_rows, n_cols, tuple(tuple(sorted(s)) for s in supports))
+    return SparseBinaryMatrix.from_rows(n_rows, n_cols, tuple(tuple(sorted(s)) for s in supports))
 
 
 def _assert_python_ints(m: SparseBinaryMatrix) -> None:
@@ -161,10 +161,10 @@ def test_round_trip_random_matrices(m):
 
 @settings(max_examples=300, deadline=None)
 @given(_sparse_matrices())
-@example(SparseBinaryMatrix(1, 1, ((),)))
-@example(SparseBinaryMatrix(1, 1, ((0,),)))
-@example(SparseBinaryMatrix(3, 4, ((), (), ())))
-@example(SparseBinaryMatrix(2, 5, ((0, 4), ())))
+@example(SparseBinaryMatrix.from_rows(1, 1, ((),)))
+@example(SparseBinaryMatrix.from_rows(1, 1, ((0,),)))
+@example(SparseBinaryMatrix.from_rows(3, 4, ((), (), ())))
+@example(SparseBinaryMatrix.from_rows(2, 5, ((0, 4), ())))
 def test_export_matches_reference(m):
     assert export_alist(m) == _reference_export_alist(m)
 

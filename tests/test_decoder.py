@@ -40,7 +40,7 @@ from conftest import REFERENCE_SEED, REPO_ROOT
 pytestmark = pytest.mark.usefixtures("no_leaked_children")
 
 
-TOY_H = SparseBinaryMatrix(
+TOY_H = SparseBinaryMatrix.from_rows(
     3, 6, ((0, 1, 2), (2, 3, 4), (0, 4, 5))
 )
 
@@ -113,7 +113,7 @@ def _sparse_matrices(draw):
     n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
     support = st.sets(st.integers(0, n_cols - 1))
     supports = draw(st.lists(support, min_size=n_rows, max_size=n_rows))
-    return SparseBinaryMatrix(n_rows, n_cols, tuple(tuple(sorted(s)) for s in supports))
+    return SparseBinaryMatrix.from_rows(n_rows, n_cols, tuple(tuple(sorted(s)) for s in supports))
 
 
 def _same(a, b):
@@ -130,7 +130,7 @@ class TestSyndrome:
         assert not syndrome(TOY_H, np.zeros(6, dtype=int)).any()
 
     def test_identity_reflects_word(self):
-        eye = SparseBinaryMatrix(3, 3, ((0,), (1,), (2,)))
+        eye = SparseBinaryMatrix.from_rows(3, 3, ((0,), (1,), (2,)))
         word = np.array([1, 0, 1])
         assert syndrome(eye, word).tolist() == [1, 0, 1]
 
@@ -160,7 +160,7 @@ class TestSyndrome:
         matrix=st.one_of(
             st.just(TOY_H),
             # empty rows and an empty last column
-            st.just(SparseBinaryMatrix(4, 5, ((), (0, 3), (), (1, 2, 3)))),
+            st.just(SparseBinaryMatrix.from_rows(4, 5, ((), (0, 3), (), (1, 2, 3)))),
             _sparse_matrices(),
         ),
         seed=st.integers(0, 2 ** 32 - 1),
@@ -286,7 +286,7 @@ class TestAgainstReference:
     def test_layout_from_exponents_matches_expansion(self, code):
         h = expand(code)
         # A fresh matrix builds its layout from the row supports.
-        rebuilt = SparseBinaryMatrix(h.n_rows, h.n_cols, h.row_supports).layout
+        rebuilt = SparseBinaryMatrix.from_rows(h.n_rows, h.n_cols, h.row_supports).layout
         for got, want in zip(qc_layout(code), rebuilt):
             assert np.array_equal(got, want)
 
@@ -574,6 +574,29 @@ class TestFrameSplit:
             assert out == "" and err.count("\n") == 3 and err.startswith("simulated ")
             outputs.append((outcome, err))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_noiseless_point_never_forks(self, monkeypatch):
+        # 40 frames x 8,082 edges would split, but a noiseless frame is one
+        # cheap iteration, so the point decodes here whatever K would be.
+        monkeypatch.chdir(REPO_ROOT)
+        argv = [
+            "simulate", "--matrix", "fixtures/seed_3x6.json", "--p", "449",
+            "--ebn0", "inf", "--max-iter", "10", "--min-error-frames", "3",
+            "--frame-cap", "40", "--seed", "8",
+        ]
+        forks = []
+
+        def no_fork():
+            forks.append(None)
+            raise OSError("fork is not allowed here")
+
+        monkeypatch.setattr(decoder, "_worker_count", lambda frame_cap, edges: 1)
+        serial = run(argv)
+        monkeypatch.setattr(decoder, "_worker_count", lambda frame_cap, edges: 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run(argv) == serial
+        assert serial.stdout_payload.splitlines()[1] == "inf,40,0,0,0.0,0.0,true"
+        assert forks == []
 
 
 class TestWorkerCount:

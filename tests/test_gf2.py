@@ -4,16 +4,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcgirth import BudgetError, QcCode, SparseBinaryMatrix, expand, gf2_rank
 from qcgirth.gf2 import MAX_RANK_BITS
 
-from conftest import qc_codes, random_canonical_matrix
+from conftest import irregular_rows, qc_codes, random_canonical_matrix
 
 
 def _identity(n: int) -> SparseBinaryMatrix:
-    return SparseBinaryMatrix(n, n, tuple((i,) for i in range(n)))
+    return SparseBinaryMatrix.from_rows(n, n, tuple((i,) for i in range(n)))
 
 
 def _span_size_rank(matrix: SparseBinaryMatrix) -> int:
@@ -38,13 +38,13 @@ def test_identity_full_rank():
 
 
 def test_duplicate_row_does_not_change_rank():
-    base = SparseBinaryMatrix(2, 4, ((0, 1), (1, 2)))
-    doubled = SparseBinaryMatrix(3, 4, ((0, 1), (1, 2), (1, 2)))
+    base = SparseBinaryMatrix.from_rows(2, 4, ((0, 1), (1, 2)))
+    doubled = SparseBinaryMatrix.from_rows(3, 4, ((0, 1), (1, 2), (1, 2)))
     assert gf2_rank(base) == gf2_rank(doubled) == 2
 
 
 def test_empty_rows_contribute_nothing():
-    m = SparseBinaryMatrix(3, 4, ((0, 1), (), ()))
+    m = SparseBinaryMatrix.from_rows(3, 4, ((0, 1), (), ()))
     assert gf2_rank(m) == 1
 
 
@@ -56,7 +56,7 @@ def test_matches_span_oracle_on_random_matrices():
             tuple(sorted(rng.sample(range(n_cols), rng.randint(0, n_cols))))
             for _ in range(n_rows)
         )
-        m = SparseBinaryMatrix(n_rows, n_cols, supports)
+        m = SparseBinaryMatrix.from_rows(n_rows, n_cols, supports)
         assert gf2_rank(m) == _span_size_rank(m)
 
 
@@ -72,9 +72,9 @@ def test_block_row_sums_force_rank_deficiency():
 
 
 def test_budget_refusal():
-    at_budget = SparseBinaryMatrix(1, MAX_RANK_BITS, ((),))
+    at_budget = SparseBinaryMatrix.from_rows(1, MAX_RANK_BITS, ((),))
     assert gf2_rank(at_budget) == 0
-    big = SparseBinaryMatrix(1, MAX_RANK_BITS + 1, ((),))
+    big = SparseBinaryMatrix.from_rows(1, MAX_RANK_BITS + 1, ((),))
     with pytest.raises(BudgetError, match="budget"):
         gf2_rank(big)
 
@@ -116,5 +116,18 @@ def test_rank_survives_row_shuffle_and_column_permutation(code, seed):
     rng.shuffle(perm)
     rows = [tuple(sorted(perm[c] for c in support)) for support in h.row_supports]
     rng.shuffle(rows)
-    assert gf2_rank(SparseBinaryMatrix(h.n_rows, h.n_cols, tuple(rows))) == gf2_rank(h)
+    assert gf2_rank(SparseBinaryMatrix.from_rows(h.n_rows, h.n_cols, tuple(rows))) == gf2_rank(h)
 
+
+@settings(max_examples=200, deadline=None)
+@given(m=irregular_rows(max_rows=40, max_cols=200).map(
+    lambda rows: SparseBinaryMatrix.from_rows(*rows)))
+@example(m=SparseBinaryMatrix.from_rows(3, 200, ((), (), ())))
+@example(m=SparseBinaryMatrix.from_rows(2, 200, ((0, 199), (0, 199))))
+@example(m=SparseBinaryMatrix.from_rows(3, 5, ((4,), (3, 4), (0, 1, 2, 3, 4))))
+def test_irregular_rank_matches_dense_elimination(m):
+    # non-QC, with empty, repeated and all-empty rows; the pivot key is each
+    # bitset's highest bit, over columns numbered downward
+    assert gf2_rank(m) == _dense_rank(m)
+    reversed_rows = SparseBinaryMatrix.from_rows(m.n_rows, m.n_cols, m.row_supports[::-1])
+    assert gf2_rank(reversed_rows) == gf2_rank(m)

@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 import random
 import re
+from itertools import zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from qcgirth import (
     ExponentMatrix,
@@ -23,7 +24,7 @@ from qcgirth import (
 from qcgirth.cli import run
 from qcgirth.matrices import MAX_VALUE
 
-from conftest import qc_codes, random_canonical_matrix
+from conftest import irregular_rows, qc_codes, random_canonical_matrix
 
 
 class TestExponentMatrix:
@@ -108,15 +109,15 @@ class TestQcCode:
 class TestSparseBinaryMatrix:
     def test_rejects_unsorted_support(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            SparseBinaryMatrix(1, 3, ((2, 1),))
+            SparseBinaryMatrix.from_rows(1, 3, ((2, 1),))
 
     def test_rejects_duplicate_support(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            SparseBinaryMatrix(1, 3, ((1, 1),))
+            SparseBinaryMatrix.from_rows(1, 3, ((1, 1),))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            SparseBinaryMatrix(1, 3, ((3,),))
+            SparseBinaryMatrix.from_rows(1, 3, ((3,),))
 
     @pytest.mark.parametrize(
         "supports, message",
@@ -135,20 +136,97 @@ class TestSparseBinaryMatrix:
     )
     def test_rejection_messages(self, supports, message):
         with pytest.raises(ValueError) as info:
-            SparseBinaryMatrix(len(supports), 3, supports)
+            SparseBinaryMatrix.from_rows(len(supports), 3, supports)
         assert str(info.value) == message
 
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValueError, match="n_rows"):
-            SparseBinaryMatrix(2, 3, ((0,),))
+            SparseBinaryMatrix.from_rows(2, 3, ((0,),))
 
     def test_empty_rows_allowed(self):
-        m = SparseBinaryMatrix(2, 2, ((0,), ()))
+        m = SparseBinaryMatrix.from_rows(2, 2, ((0,), ()))
         assert m.ones_count == 1
 
     def test_column_supports(self):
-        m = SparseBinaryMatrix(3, 3, ((0, 2), (1,), (0,)))
+        m = SparseBinaryMatrix.from_rows(3, 3, ((0, 2), (1,), (0,)))
         assert m.column_supports() == [[0, 2], [1], [0]]
+
+    @pytest.mark.parametrize(
+        "n_rows, indptr, indices, message",
+        [
+            (1, [0, 2], [2, 1], "column indices must be strictly increasing"),
+            (1, [0, 2], [1, 1], "column indices must be strictly increasing"),
+            (1, [0, 1], [-1], "column indices must be strictly increasing"),
+            (1, [0, 1], [3], "column index 3 out of range"),
+            # The first offending index, row-major, decides the message.
+            (2, [0, 2, 4], [0, 3, 2, 1], "column index 3 out of range"),
+            (2, [0, 2, 4], [2, 1, 0, 3], "column indices must be strictly increasing"),
+            (2, [0, 0, 2], [0, 0], "column indices must be strictly increasing"),
+            (3, [0, 1, 2], [0, 1], "row_supports length does not match n_rows"),
+            (0, [0], [], "matrix must have at least one row and one column"),
+            (1, [0, 1], [0, 1], "indptr must rise from 0 to len(indices) in flat arrays"),
+            (1, [1, 2], [0, 1], "indptr must rise from 0 to len(indices) in flat arrays"),
+            (3, [0, 2, 1, 2], [0, 1], "indptr must rise from 0 to len(indices) in flat arrays"),
+            (1, [], [], "indptr must rise from 0 to len(indices) in flat arrays"),
+            (1, [[0, 1]], [0], "indptr must rise from 0 to len(indices) in flat arrays"),
+            (1, [0, 2], [[0, 1]], "indptr must rise from 0 to len(indices) in flat arrays"),
+        ],
+    )
+    def test_array_rejection_messages(self, n_rows, indptr, indices, message):
+        with pytest.raises(ValueError) as info:
+            SparseBinaryMatrix(n_rows, 3, np.array(indptr, np.int64), np.array(indices, np.int64))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("indptr, indices", [([0, 1], [1.0]), ([0.0, 1.0], [1]), ([0, 0], [])])
+    def test_arrays_must_hold_integers(self, indptr, indices):
+        with pytest.raises(TypeError, match="same_kind"):
+            SparseBinaryMatrix(1, 3, indptr, indices)
+
+    def test_array_path_accepts_rows_that_restart_low(self):
+        m = SparseBinaryMatrix(3, 3, [0, 1, 3, 3], [2, 0, 1])
+        assert m.row_supports == ((2,), (0, 1), ())
+
+    def test_arrays_are_read_only_copies(self):
+        indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
+        m = SparseBinaryMatrix(2, 2, indptr, indices)
+        indices[0] = 0
+        assert m.row_supports == ((1,), (0,))
+        assert m.indices.dtype == m.indptr.dtype == np.int64
+        assert not m.indices.flags.writeable and not m.indptr.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=irregular_rows())
+    def test_tuple_and_array_built_agree(self, rows):
+        n_rows, n_cols, supports = rows
+        by_rows = SparseBinaryMatrix.from_rows(n_rows, n_cols, supports)
+        indptr = np.cumsum([0] + [len(s) for s in supports])
+        flat = np.array([c for s in supports for c in s], dtype=np.int64)
+        by_arrays = SparseBinaryMatrix(n_rows, n_cols, indptr, flat)
+        assert by_rows == by_arrays and hash(by_rows) == hash(by_arrays)
+        assert by_rows.row_supports == by_arrays.row_supports == supports
+        assert all(type(c) is int for s in by_arrays.row_supports for c in s)
+        assert by_arrays.ones_count == len(flat)
+        assert by_arrays != SparseBinaryMatrix(n_rows, n_cols + 1, indptr, flat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=irregular_rows())
+    @example(rows=(3, 4, ((), (), ())))
+    @example(rows=(1, 1, ((0,),)))
+    def test_layout_matches_zip_longest_reference(self, rows):
+        m = SparseBinaryMatrix.from_rows(*rows)
+        n_rows, n_cols, supports = rows
+        padded = zip_longest(*supports, fillvalue=n_cols)
+        want_cols = np.array(list(padded), dtype=np.int64).reshape(-1, n_rows)
+        col_rows = m.column_supports()
+        want_gather = np.full(
+            (max(map(len, col_rows)), n_cols), want_cols.size, dtype=np.int64
+        )
+        for c, rows_of_c in enumerate(col_rows):
+            for k, r in enumerate(rows_of_c):
+                want_gather[k, c] = supports[r].index(c) * n_rows + r
+        cols, gather = m.layout
+        assert np.array_equal(cols, want_cols) and cols.shape == want_cols.shape
+        assert np.array_equal(gather, want_gather) and gather.shape == want_gather.shape
 
 
 def _loop_expand(code: QcCode) -> SparseBinaryMatrix:
@@ -159,7 +237,7 @@ def _loop_expand(code: QcCode) -> SparseBinaryMatrix:
     for u in range(m.rows):
         for r in range(p):
             supports.append(tuple(v * p + (r + shifts[u][v]) % p for v in range(m.cols)))
-    return SparseBinaryMatrix(m.rows * p, m.cols * p, tuple(supports))
+    return SparseBinaryMatrix.from_rows(m.rows * p, m.cols * p, tuple(supports))
 
 
 class TestExpand:
