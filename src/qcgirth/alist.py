@@ -9,12 +9,15 @@ Layout (positions are 1-indexed, lines newline-terminated, single spaces):
     N lines: row positions of each column, zero-padded to max_col_weight
     M lines: column positions of each row, zero-padded to max_row_weight
 
-The reader splits each line on whitespace and reads every token with
-Python ``int``.  It accepts zero padding and unsorted positions; it rejects
+The reader reads a text of ASCII digits, spaces and newlines alone, no
+token over 18 digits, in one numpy pass; any other text it splits line by
+line, reading each token with Python ``int``, whose spellings it accepts.
+The weight lines and support blocks are slices of the token array, checked
+as whole arrays.  It accepts zero padding and unsorted positions; it rejects
 duplicate and out-of-range positions, a line whose nonzero count differs
 from its declared weight, and column lists that disagree with the row
-lists.  Each support block is checked as whole arrays; only when a check
-fails are its lines walked in file order, to report the first bad one.
+lists.  Only a failed check walks the lines in file order, to report the
+first bad one.
 """
 
 from __future__ import annotations
@@ -65,20 +68,15 @@ def import_alist(text: str) -> SparseBinaryMatrix:
     max_col, max_row = _parse_pair(lines[1], "weight line")
     if n < 1 or m < 1:
         raise ValueError("alist: matrix dimensions must be positive")
-    col_weights = _int_fields(lines[2], "column weights")
-    row_weights = _int_fields(lines[3], "row weights")
-    if len(col_weights) != n or len(row_weights) != m:
-        raise ValueError("alist: weight list length mismatch")
-    if col_weights and max(col_weights) > max_col:
-        raise ValueError("alist: column weight exceeds declared maximum")
-    if row_weights and max(row_weights) > max_row:
-        raise ValueError("alist: row weight exceeds declared maximum")
-    if len(lines) < 4 + n + m:
-        raise ValueError("alist: truncated support lists")
-
-    col_of, row_in_col = _support_block(lines[4 : 4 + n], col_weights, m, "column")
-    row_of, col_in_row = _support_block(lines[4 + n : 4 + n + m], row_weights, n, "row")
-    matrix = SparseBinaryMatrix(m, n, np.cumsum([0, *row_weights]), col_in_row)
+    tokens = _plain_tokens(text) or _split_tokens(lines, 2, 4 + n + m)
+    ones = tokens and len(lines) >= 4 + n + m and _supports(*tokens, n, m, max_col, max_row)
+    if not ones:
+        _first_error(lines, n, m, max_col, max_row)
+        raise AssertionError("alist: array check and line check disagree")
+    at, pos = ones
+    split = np.searchsorted(at, n)
+    col_of, row_in_col, row_of, col_in_row = at[:split], pos[:split], at[split:] - n, pos[split:]
+    matrix = SparseBinaryMatrix(m, n, np.searchsorted(row_of, np.arange(m + 1)), col_in_row)
     if not np.array_equal(np.sort(row_in_col * n + col_of), row_of * n + col_in_row):
         raise ValueError("alist: column lists disagree with row lists")
     return matrix
@@ -91,25 +89,74 @@ def _parse_pair(line: str, what: str) -> tuple[int, int]:
     return fields[0], fields[1]
 
 
-def _support_block(lines: list[str], weights: list[int], bound: int, what: str):
-    """(line, zero-based position) arrays of a block, sorted by line then position."""
-    tokens = [line.split() for line in lines]
+def _plain_tokens(text: str):
+    """(values, line) of every token in one pass, or None unless the text is only
+    ASCII digits, spaces and newlines, no token over 18 digits: numpy reads those exactly."""
+    if not text.isascii():  # first, since a lone surrogate cannot be encoded
+        return None
+    raw = np.frombuffer(text.encode(), np.uint8)
+    digit, newline = raw - ord("0") < 10, raw == ord("\n")
+    if not (digit | newline | (raw == ord(" "))).all():
+        return None
+    starts, ends = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2).T
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if values.size != starts.size or (ends - starts > 18).any():
+        return None
+    return values, np.searchsorted(np.flatnonzero(newline), starts)
+
+
+def _split_tokens(lines: list[str], start: int, stop: int):
+    """(values, line) of the tokens of lines[start:stop], or None unless all are int64."""
+    tokens = [line.split() for line in lines[start:stop]]
     try:
         values = np.array(list(chain.from_iterable(tokens)), dtype=np.int64)  # int() of each str
     except (ValueError, OverflowError):  # a non-integer token, or a value past int64
-        values = None
-    if values is not None:
-        at = np.repeat(np.arange(len(lines)), list(map(len, tokens)))[values != 0]
-        pos = values[values != 0]
-        order = np.lexsort((pos, at))
-        at, pos = at[order], pos[order]
-        repeated = (at[1:] == at[:-1]) & (pos[1:] == pos[:-1])
-        counted = np.array_equal(np.bincount(at, minlength=len(lines)), weights)
-        if counted and (pos > 0).all() and (pos <= bound).all() and not repeated.any():
-            return at, pos - 1
-    for i, line in enumerate(lines):
-        _parse_support(line, weights[i], bound, f"{what} {i + 1}")
-    raise AssertionError(f"alist: {what} block check and line check disagree")
+        return None
+    return values, np.repeat(np.arange(start, start + len(tokens)), list(map(len, tokens)))
+
+
+def _supports(values, line, n: int, m: int, max_col: int, max_row: int):
+    """(line, zero-based position) of every listed position, ascending; None if a check fails.
+
+    Lines count from the first support line, and pair in order with the N + M weights.
+    Tokens come in text order, so each line's are one slice; the pairs are sorted only
+    when the text's order does not ascend.
+    """
+    cut = np.searchsorted(line, [2, 3, 4, 4 + n + m])
+    weights = values[cut[0] : cut[2]]
+    if (cut[1] - cut[0], cut[2] - cut[1]) != (n, m):
+        return None
+    if int(weights[:n].max()) > max_col or int(weights[n:].max()) > max_row:
+        return None
+    nonzero = values[cut[2] : cut[3]] != 0
+    at, pos = line[cut[2] : cut[3]][nonzero] - 4, values[cut[2] : cut[3]][nonzero]
+    counted = np.array_equal(np.bincount(at, minlength=n + m), weights)
+    if not (counted and ((pos > 0) & (pos <= np.where(at < n, m, n))).all()):
+        return None
+    key = at * (n + m) + pos - 1
+    if not (np.diff(key) > 0).all():
+        key.sort()
+        if not (np.diff(key) > 0).all():  # a position repeated in its line
+            return None
+    return np.divmod(key, n + m)
+
+
+def _first_error(lines: list[str], n: int, m: int, max_col: int, max_row: int) -> None:
+    """Raise the first error the line-by-line rules find past the size lines."""
+    col_weights = _int_fields(lines[2], "column weights")
+    row_weights = _int_fields(lines[3], "row weights")
+    if len(col_weights) != n or len(row_weights) != m:
+        raise ValueError("alist: weight list length mismatch")
+    if max(col_weights) > max_col:
+        raise ValueError("alist: column weight exceeds declared maximum")
+    if max(row_weights) > max_row:
+        raise ValueError("alist: row weight exceeds declared maximum")
+    if len(lines) < 4 + n + m:
+        raise ValueError("alist: truncated support lists")
+    for j in range(n):
+        _parse_support(lines[4 + j], col_weights[j], m, f"column {j + 1}")
+    for i in range(m):
+        _parse_support(lines[4 + n + i], row_weights[i], n, f"row {i + 1}")
 
 
 def _parse_support(line: str, weight: int, bound: int, what: str) -> None:
@@ -117,9 +164,7 @@ def _parse_support(line: str, weight: int, bound: int, what: str) -> None:
     fields = _int_fields(line, what)
     positions = [f for f in fields if f != 0]
     if len(positions) != weight:
-        raise ValueError(
-            f"alist: {what} lists {len(positions)} positions, expected {weight}"
-        )
+        raise ValueError(f"alist: {what} lists {len(positions)} positions, expected {weight}")
     if any(f < 0 for f in fields):
         raise ValueError(f"alist: negative position in {what}")
     seen = set()

@@ -277,9 +277,9 @@ def monte_carlo(
     4 and at most *frame_cap*.  It is 1 without ``os.fork``, on one core,
     while another thread runs, below 100,000 edge-frames (frame_cap x
     edges), which may not win back a fork, and at the noiseless point,
-    whose frames take one iteration and no noise draw.  The counts are
-    added and the stop rule applied in frame order, so the summary does not
-    depend on K.
+    where frame 0's count, decoded once, stands for every frame.  The counts
+    are added and the stop rule applied in frame order, so the summary does
+    not depend on K.
     A frame whose count does not arrive is decoded here.  Every child is
     killed and reaped before this returns or raises.
     """
@@ -287,7 +287,10 @@ def monte_carlo(
         raise ValueError("max_iter, min_error_frames and frame_cap must be >= 1")
     cols, gather = qc_layout(code)
     decode_frame = partial(_frame_wrong_bits, cols, gather, channel, max_iter)
-    k = 1 if channel.noise_variance == 0.0 else _worker_count(frame_cap, cols.size)
+    noiseless = channel.noise_variance == 0.0  # then every frame has frame 0's LLRs
+    if noiseless:
+        decode_frame = partial(lambda wrong, frame: wrong, decode_frame(0))
+    k = 1 if noiseless else _worker_count(frame_cap, cols.size)
     pids, fds = [], [None] * k  # fds[w] streams worker w's counts; None: decoded here
     frames = bit_errors = frame_errors = 0
     try:

@@ -38,7 +38,6 @@ Girth values are even integers; ``None`` is the acyclic sentinel
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -359,13 +358,15 @@ def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
 def girth_oracle(matrix: ExponentMatrix, p: int) -> int | None:
     """Exact girth of the expanded Tanner graph by breadth-first search.
 
-    Builds the bipartite graph (variable nodes = columns, check nodes =
-    rows, edges at the ones) and takes the minimum shortest cycle over BFS
-    roots.  Every cycle alternates between the two sides, so it passes
-    through a check node; shifting every block cyclically maps the graph
-    onto itself, so some copy of it passes through the first check node of
-    a block-row.  One root per block-row therefore realizes the minimum
-    over all vertices.  Returns None for acyclic graphs.
+    Every cycle of the bipartite graph (check nodes = rows, variable nodes
+    = columns) passes through a check node; shifting every block cyclically
+    maps the graph onto itself, so one BFS root per block-row realizes the
+    minimum over all vertices.  Each BFS is level-synchronous over the
+    :func:`qc_layout` arrays: a level gathers its frontier's neighbours and
+    drops each edge back to a parent.  The first level at depth d that
+    reaches a vertex twice closes a (2d + 2)-cycle.  A root stops there or
+    once 2d + 2 >= the best so far, and the roots stop at girth 4, the least
+    a simple bipartite graph has.  Returns None for acyclic graphs.
     """
     n_edges = matrix.rows * matrix.cols * p
     if n_edges > ORACLE_EDGE_BUDGET:
@@ -374,33 +375,25 @@ def girth_oracle(matrix: ExponentMatrix, p: int) -> int | None:
             f"{ORACLE_EDGE_BUDGET}"
         )
     cols, gather = qc_layout(QcCode(matrix, p))
-    m = cols.shape[1]
-    # Checks are vertices 0..M-1 and columns M..M+N-1; gather holds v*M + check.
-    adj = (cols.T + m).tolist() + (gather % m).T.tolist()
-
-    best = float("inf")
-    for root in range(0, m, p):
-        dist = [-1] * len(adj)
-        parent = [-1] * len(adj)
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            dx = dist[x]
-            if 2 * dx >= best:
-                break  # queue is depth-ordered; nothing shorter remains
-            px = parent[x]
-            for y in adj[x]:
-                if y == px:
-                    continue
-                if dist[y] >= 0:
-                    cand = dx + dist[y] + 1
-                    if cand < best:
-                        best = cand
-                else:
-                    dist[y] = dx + 1
-                    parent[y] = x
-                    queue.append(y)
+    # Even levels hold checks and odd levels variables, each side by its own
+    # index: check c meets the variables nbrs[0][c], variable v the checks nbrs[1][v].
+    nbrs = (cols.T, gather.T % cols.shape[1])
+    slots = [np.empty(len(side), dtype=np.intp) for side in nbrs]  # read only where just written
+    best = None
+    for root in range(0, cols.shape[1], p):
+        frontier, parent, depth = np.array([root]), np.array([-1]), 0
+        while frontier.size and (best is None or 2 * depth + 2 < best):
+            reach = nbrs[depth % 2][frontier]
+            kept = reach != parent[:, None]
+            found, place = reach[kept], np.arange(kept.sum())
+            # No vertex found lies on an earlier level: one on the level above
+            # would have reached its frontier vertex twice and ended that level.
+            slot = slots[1 - depth % 2]
+            slot[found] = place
+            if (slot[found] != place).any():  # a vertex found twice keeps one place
+                best = 2 * depth + 2
+                break
+            frontier, parent, depth = found, np.repeat(frontier, kept.sum(axis=1)), depth + 1
         if best == 4:
-            break  # minimum possible in a simple bipartite graph
-    return None if best == float("inf") else int(best)
+            break
+    return best

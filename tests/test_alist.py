@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qcgirth.alist
 from qcgirth import QcCode, SparseBinaryMatrix, expand, export_alist, import_alist
 
 from conftest import qc_codes, random_canonical_matrix
@@ -170,11 +171,22 @@ def test_export_matches_reference(m):
 
 
 # A token replaced by an integer (zero, negative, in or out of range) or by
-# a string ``int`` rejects or accepts, or respelled; tokens added and
-# dropped; other separators; a position duplicated in its line; lines swapped.
-_TOKENS = st.one_of(st.integers(-3, 14).map(str), st.sampled_from(["x", "+3", "1_0", "-0"]))
-_SPELLINGS = st.sampled_from(["+{}", "0{}", "{}.0", "{}e0"])
-_MUTATIONS = ("replace", "respell", "append", "drop", "double space", "tab", "duplicate", "swap")
+# a string ``int`` rejects or accepts, or respelled (zero-padded past 18
+# digits among them); tokens added and dropped; other separators, some of
+# them line breaks to ``str.splitlines`` (form feed, lone carriage return);
+# spaces before and after; a line emptied; a position duplicated in its line;
+# lines swapped.  Then lines appended past the support lists, CRLF or LF
+# line ends, and a final line end or none.  Anything but ASCII digits, spaces
+# and LF, or a token past 18 digits, leaves the one-pass tokenizer.
+_TOKENS = st.one_of(
+    st.integers(-3, 14).map(str),
+    st.sampled_from(["x", "+3", "1_0", "-0", "\u0663", "\ud800", "1" + "0" * 18, "9" * 20]),
+)
+_SPELLINGS = st.sampled_from(["+{}", "0{}", "{}.0", "{}e0", "{:0>19}", "{:0>20}"])
+_SEPARATORS = {"double space": "  ", "tab": "\t", "form feed": "\x0c", "carriage return": "\r"}
+_MUTATIONS = ("replace", "respell", "append", "drop", "pad", "empty", "duplicate", "swap",
+              *_SEPARATORS)
+_EXTRA_LINES = st.lists(st.sampled_from(["", "1 2", "x", "\u0663 1", "9" * 20]), max_size=2)
 
 
 @st.composite
@@ -188,7 +200,11 @@ def _mutated_alist(draw):
             j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
             continue
-        if kind == "append":
+        if kind == "empty":
+            toks = []
+        elif kind == "pad":
+            toks = [""] * draw(st.integers(0, 2)) + toks + [""] * draw(st.integers(0, 2))
+        elif kind == "append":
             toks.insert(draw(st.integers(0, len(toks))), draw(_TOKENS))
         elif toks and kind in ("replace", "respell", "drop", "duplicate"):
             k = draw(st.integers(0, len(toks) - 1))
@@ -200,9 +216,10 @@ def _mutated_alist(draw):
                 del toks[k]
             else:
                 toks[k] = toks[draw(st.integers(0, len(toks) - 1))]
-        sep = {"double space": "  ", "tab": "\t"}.get(kind, " ")
-        lines[i] = sep.join(toks)
-    return "\n".join(lines) + "\n"
+        lines[i] = _SEPARATORS.get(kind, " ").join(toks)
+    lines += draw(_EXTRA_LINES)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 def _outcome(reader, text):
@@ -219,6 +236,27 @@ def test_mutated_text_matches_reference(text):
     assert got == _outcome(_reference_import_alist, text)
     if isinstance(got, SparseBinaryMatrix):
         _assert_python_ints(got)
+
+
+@pytest.mark.parametrize("text", [
+    "2 2\r\n1 1\r\n1 1\r\n1 1\r\n1\r\n2\r\n1\r\n2",  # CRLF, no final line end
+    "2 2\n1 1\n1 1\n1 1\n1\n2\x0c1\n2\n",  # a form feed ends a line too
+    "1 1\n99999999999999999999 0\n0\n0\n\n\n",  # a declared maximum past int64
+    "1 1\n1 1\n1\n\ud800\n1\n1\n",  # a lone surrogate, which no codec encodes
+])
+def test_line_breaks_and_long_tokens_match_reference(text):
+    assert _outcome(import_alist, text) == _outcome(_reference_import_alist, text)
+
+
+def test_plain_text_never_reaches_line_tokenizer(monkeypatch, ref_seed):
+    # an exported text is ASCII digits, single spaces and LF: one numpy pass
+    def refuse(lines, start, stop):
+        raise AssertionError("plain alist text split line by line")
+
+    monkeypatch.setattr(qcgirth.alist, "_split_tokens", refuse)
+    irregular = SparseBinaryMatrix.from_rows(3, 5, ((0, 4), (), (1, 2, 3, 4)))
+    for h in (expand(QcCode(ref_seed, 449)), irregular):
+        assert import_alist(export_alist(h)) == h
 
 
 def test_round_trip_random_expansions():

@@ -575,6 +575,24 @@ class TestFrameSplit:
             outputs.append((outcome, err))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_noiseless_point_decodes_one_frame(self, monkeypatch):
+        # every noiseless frame has the same LLRs, so frame 0's count serves all 40
+        monkeypatch.chdir(REPO_ROOT)
+        calls, real = [], decoder._frame_wrong_bits
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(decoder, "_frame_wrong_bits", counted)
+        outcome = run([
+            "simulate", "--matrix", "fixtures/seed_3x6.json", "--p", "449",
+            "--ebn0", "inf", "--max-iter", "10", "--min-error-frames", "3",
+            "--frame-cap", "40", "--seed", "8",
+        ])
+        assert outcome.stdout_payload.splitlines()[1] == "inf,40,0,0,0.0,0.0,true"
+        assert calls == [0]
+
     def test_noiseless_point_never_forks(self, monkeypatch):
         # 40 frames x 8,082 edges would split, but a noiseless frame is one
         # cheap iteration, so the point decodes here whatever K would be.

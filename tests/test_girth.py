@@ -7,7 +7,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcgirth import (
     BudgetError,
@@ -385,6 +385,49 @@ class TestAgreement:
             assert girth_fast(m, p).girth == girth_oracle(m, p), (m, p)
             shapes.add((j, l))
         assert len(shapes) == 24
+
+
+def _sized_matrices(rows, cols):
+    """(matrix, P) for P in 2..60, with entries in [0, P)."""
+    return st.integers(2, 60).flatmap(
+        lambda p: st.tuples(_matrices(rows, cols, st.integers(0, p - 1)), st.just(p))
+    )
+
+
+_KNOWN_GIRTHS = [  # (rows, P, girth of the expansion)
+    ([[0, 0, 0], [0, 0, 1], [0, 1, 1]], 2, 4),
+    ([[0, 0, 0], [0, 1, 2], [0, 2, 1]], 3, 6),
+    ([[0, 0, 0], [0, 2, 4], [0, 3, 6]], 7, 8),
+    ([[0, 0, 0], [0, 8, 7], [0, 14, 17]], 19, 10),
+    ([[0, 0, 0], [0, 12, 26], [0, 17, 23]], 33, 12),
+    ([[0, 0], [0, 1]], 5, 20),  # 2 x 2: 4P / gcd(P, 1)
+    ([[0, 3, 1, 4]], 7, None),  # one row: acyclic
+]
+
+
+def _known_girth_examples(test):
+    for rows, p, _ in _KNOWN_GIRTHS:
+        test = example(case=(ExponentMatrix.from_rows(rows), p))(test)
+    return test
+
+
+class TestOracleProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=st.one_of(
+        _sized_matrices(st.integers(1, 4), st.integers(1, 6)),
+        _sized_matrices(st.just(1), st.integers(1, 6)),
+        _sized_matrices(st.integers(1, 4), st.just(1)),
+        _sized_matrices(st.just(2), st.just(2)),
+    ))
+    @_known_girth_examples
+    def test_oracle_equals_every_root_bfs(self, case):
+        m, p = case
+        assert girth_oracle(m, p) == _girth_every_root(m, p)
+
+    @pytest.mark.parametrize("rows, p, girth", _KNOWN_GIRTHS)
+    def test_known_girths(self, rows, p, girth):
+        m = ExponentMatrix.from_rows(rows)
+        assert girth_oracle(m, p) == _girth_every_root(m, p) == girth
 
 
 class TestEnumerationStructure:
