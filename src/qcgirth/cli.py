@@ -108,8 +108,6 @@ def _dumps_table(head: dict, key: str, item: str, values: list[int]) -> str:
     of the standard library is pure Python and walks every value.
     """
     text = json.dumps({**head, key: []}, indent=2)
-    if not values:
-        return text
     body = ",\n".join([item] * (len(values) // item.count("%d"))) % tuple(values)
     return text[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}"
 
@@ -154,11 +152,6 @@ def _cmd_simulate(args) -> CommandOutcome:
     matrix = load_matrix(args.matrix)
     code = QcCode(matrix, args.p)
     rate = 1.0 - matrix.rows / matrix.cols
-    if not 0.0 < rate < 1.0:
-        raise ValueError(
-            f"design rate 1 - J/L = {rate:.3f} is not in (0, 1); "
-            "simulation needs more columns than rows"
-        )
     tokens = [tok.strip() for tok in args.ebn0.split(",") if tok.strip()]
     try:
         points = [float(tok) for tok in tokens]

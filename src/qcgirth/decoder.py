@@ -69,7 +69,8 @@ class ChannelParams:
         if math.isnan(self.ebn0_db):
             raise ValueError("ebn0_db must not be NaN")
         if not 0.0 < self.rate < 1.0:
-            raise ValueError(f"rate must be in (0, 1), got {self.rate}")
+            raise ValueError(f"rate must be in (0, 1), got {self.rate}; "
+                             "simulation needs more columns than rows")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
         if self.ebn0_db != math.inf:

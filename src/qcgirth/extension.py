@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import BudgetError
 from .girth import CycleWitness, girth_fast
-from .matrices import MAX_VALUE, ExponentMatrix, QcCode, canonical_check, matrix_to_json
+from .matrices import (MAX_VALUE, ExponentMatrix, QcCode, canonical_check, check_size,
+                       matrix_to_json)
 
 MAX_FAMILY_MEMBERS = 1_000_000  # largest P window one extend_family call accepts
 
@@ -82,21 +83,32 @@ def _row_extremes(matrix: ExponentMatrix) -> tuple[int, int, int]:
     return max(row1), ordered[0], p2_second
 
 
-def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
-    """Evaluate the three extension conditions for a seed at size Q, and its min_P.
-
-    Requires a canonical (3,L) matrix with all entries < Q; the guarantee
-    this report certifies is specific to column weight three.
-    """
+def _check_seed(matrix: ExponentMatrix) -> None:
+    """Raise ValueError unless *matrix* is a canonical (3,L) seed."""
     if matrix.rows != 3:
-        raise ValueError(
-            f"seed conditions apply to (3,L) matrices only, got {matrix.rows} rows"
-        )
+        raise ValueError(f"seed conditions apply to (3,L) matrices only, got {matrix.rows} rows")
     report = canonical_check(matrix)
     if not report.passed:
         raise ValueError(f"seed not canonical: {', '.join(report.failures)}")
-    if q < 2:
-        raise ValueError(f"Q must be >= 2, got {q}")
+
+
+def _min_p(seed: ExponentMatrix) -> int:
+    """The seed's bound min_P, :meth:`CycleSpectrum.bound`; ValueError when it has none."""
+    min_p = seed.spectrum.bound()
+    if min_p is None:
+        raise ValueError("no min_P: no P0 makes every P >= P0 girth 12 (the shape lacks "
+                         "12-cycles at some P, or an exponent sum is zero)")
+    return min_p
+
+
+def check_seed_conditions(matrix: ExponentMatrix, q: int) -> ConditionReport:
+    """Evaluate the three extension conditions for a seed at size Q, and its min_P.
+
+    Requires a canonical (3,L) matrix (the guarantee is specific to column
+    weight three), a Q that passes :func:`check_size`, and all entries < Q.
+    """
+    _check_seed(matrix)
+    check_size(q, "Q")
     if matrix.max_entry >= q:
         raise ValueError(f"entry {matrix.max_entry} is >= Q={q}")
 
@@ -133,15 +145,12 @@ class QcFamily(Sequence[QcCode]):
         up = self.sizes if self.sizes.step > 0 else self.sizes[::-1]
         if not up:
             return
-        min_p = self.seed.spectrum.bound()
-        if min_p is None:
-            raise ValueError("no min_P: no P0 makes every P >= P0 girth 12 (the shape lacks "
-                             "12-cycles at some P, or an exponent sum is zero)")
+        min_p = _min_p(self.seed)
         if up[0] < min_p:
             raise ValueError("P range starts below the certified extension bound: "
                              f"{up[0]} < min_P={min_p}")
         if up[-1] > MAX_VALUE:  # raises for the first size past it
-            QcCode(self.seed, up[max(0, (MAX_VALUE - up[0]) // up.step + 1)])
+            check_size(up[max(0, (MAX_VALUE - up[0]) // up.step + 1)], "circulant size")
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -189,17 +198,12 @@ def tightness_witness(matrix: ExponentMatrix) -> CycleWitness:
     """The shortest cycle at P = min_P - 1, showing the family bound is tight.
 
     At P = max|S| the largest exponent-sum magnitude is a multiple of P, so
-    :func:`girth_fast` finds a cycle of length at most 10 there.  Raises
-    ValueError when some sum is zero (no P is girth 12, so there is no bound).
+    :func:`girth_fast` finds a cycle of length at most 10 there.  A seed that
+    is not canonical (3,L), or has no bound, raises the ValueError that
+    :func:`check_seed_conditions` or :class:`QcFamily` would.
     """
-    if matrix.rows != 3 or matrix.cols < 2:
-        raise ValueError("tightness witness applies to (3,L) matrices with L >= 2 only")
-    if not canonical_check(matrix).passed:
-        raise ValueError("matrix must be canonical")
-    bound = matrix.spectrum.bound()
-    if bound is None:
-        raise ValueError("an exponent sum is zero: a cycle closes at every P, so no bound exists")
-    return girth_fast(matrix, bound - 1).witness
+    _check_seed(matrix)
+    return girth_fast(matrix, _min_p(matrix) - 1).witness
 
 
 def family_columns(family: QcFamily) -> np.ndarray:

@@ -32,7 +32,8 @@ computes the exact girth by BFS.  The fast path never calls it, so it is an
 independent cross-check for every shape.
 
 Girth values are even integers; ``None`` is the acyclic sentinel
-(serialized as JSON null).
+(serialized as JSON null).  A size P or modulus that fails
+:func:`~qcgirth.matrices.check_size` raises ValueError before any work.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .matrices import MAX_VALUE, ExponentMatrix, QcCode, qc_layout
+from .matrices import ExponentMatrix, QcCode, check_size, qc_layout
 
 EXPONENT_CHECK = "EXPONENT_CHECK"
 GRAPH_BFS = "GRAPH_BFS"
@@ -75,8 +76,7 @@ class CycleWitness:
             raise ValueError(f"cycle length must be an even integer >= 4, got {self.length}")
         if len(self.row_seq) != k or len(self.col_seq) != k:
             raise ValueError("row_seq and col_seq must each hold length/2 indices")
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
+        check_size(self.modulus, "modulus")
         for i in range(k):
             if self.row_seq[i] == self.row_seq[(i + 1) % k]:
                 raise ValueError("consecutive rows must differ")
@@ -248,11 +248,6 @@ def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
     return grids[0][front] + grids[1][back]
 
 
-def _check_modulus(p: int) -> None:
-    if not 2 <= p <= MAX_VALUE:
-        raise ValueError(f"modulus must be in [2, {MAX_VALUE}], got {p}")
-
-
 def find_cycle(matrix: ExponentMatrix, p: int, length: int) -> CycleWitness | None:
     """Search for a cycle of exactly *length* at modulus *p*.
 
@@ -296,7 +291,7 @@ class CycleSpectrum:
 
     def shortest_cycle(self, p: int) -> int | None:
         """Shortest length through 10 with a cycle closing at size *p*, or None."""
-        _check_modulus(p)
+        check_size(p, "modulus")
         for length in SHORT_CYCLE_LENGTHS:
             if self._closing(p, length).size:
                 return length
@@ -304,7 +299,7 @@ class CycleSpectrum:
 
     def witness(self, p: int, length: int) -> CycleWitness | None:
         """The first cycle of *length* (4..12) in table order closing at *p*."""
-        _check_modulus(p)
+        check_size(p, "modulus")
         hits = self._closing(p, length)
         if not hits.size:
             return None
@@ -341,7 +336,7 @@ def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
     Else, by the girth-12 rule (module docstring): 12, None for one row or
     column, or the 2 x 2 closed form, at least 12 once no 4- or 8-cycle closes.
     """
-    _check_modulus(p)
+    check_size(p, "modulus")
     if matrix.rows < 2 or matrix.cols < 2:
         return GirthReport(girth=None, method=EXPONENT_CHECK, witness=None)
     length = matrix.spectrum.shortest_cycle(p)
@@ -368,6 +363,7 @@ def girth_oracle(matrix: ExponentMatrix, p: int) -> int | None:
     once 2d + 2 >= the best so far, and the roots stop at girth 4, the least
     a simple bipartite graph has.  Returns None for acyclic graphs.
     """
+    check_size(p, "modulus")
     n_edges = matrix.rows * matrix.cols * p
     if n_edges > ORACLE_EDGE_BUDGET:
         raise BudgetError(

@@ -34,6 +34,12 @@ MAX_VALUE = 2 ** 59
 MAX_LAYOUT_EDGES = 5_000_000  # J * L * P edges one qc_layout call lays out
 
 
+def check_size(value, name: str) -> None:
+    """The one rule for a P, modulus, Q or q_cap: a Python int (no bool) in [2, MAX_VALUE]."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 2 <= value <= MAX_VALUE:
+        raise ValueError(f"{name} must be an integer in [2, {MAX_VALUE}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExponentMatrix:
     """J x L grid of non-negative circulant shift exponents."""
@@ -122,11 +128,7 @@ class QcCode:
     circulant_size: int
 
     def __post_init__(self):
-        p = self.circulant_size
-        if not isinstance(p, int) or isinstance(p, bool) or not 2 <= p <= MAX_VALUE:
-            raise ValueError(
-                f"circulant size must be an integer in [2, {MAX_VALUE}], got {p!r}"
-            )
+        check_size(self.circulant_size, "circulant size")
 
     @property
     def block_length(self) -> int:
@@ -318,8 +320,12 @@ def matrix_from_json(obj) -> ExponentMatrix:
 
 
 def load_matrix(path: str | Path) -> ExponentMatrix:
-    """Read an exponent matrix from a JSON file."""
-    return matrix_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read an exponent matrix from a JSON file; ValueError if it is malformed."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("matrix JSON is nested too deeply") from None
+    return matrix_from_json(obj)
 
 
 def save_matrix(path: str | Path, matrix: ExponentMatrix, label: str | None = None) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import SearchBudgetError
 from .extension import ConditionReport, check_seed_conditions
 from .girth import SHORT_CYCLE_LENGTHS, exponent_sums, girth_fast
-from .matrices import MAX_VALUE, ExponentMatrix
+from .matrices import ExponentMatrix, check_size
 
 _MAX_GRID_CELLS = 1 << 22  # (a, b) cells one window may lay out
 
@@ -35,8 +35,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.cols < 2:
             raise ValueError(f"a seed needs at least 2 columns, got cols={self.cols}")
-        if not 2 <= self.q_cap <= MAX_VALUE:
-            raise ValueError(f"q_cap must be in [2, {MAX_VALUE}], got {self.q_cap}")
+        check_size(self.q_cap, "q_cap")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 

@@ -103,6 +103,13 @@ class TestVerify:
         assert not report["cond1_girth12"]
         assert report["min_P"] is None
 
+    @pytest.mark.parametrize("q", ["1", str(2 ** 59 + 1)])
+    def test_q_out_of_range_is_input_error(self, seed_path, q, capsys):
+        outcome = run(["verify", "--matrix", seed_path, "--q", q])
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err == (
+            f"error: Q must be an integer in [2, 576460752303423488], got {q}\n")
+
 
 class TestGirth:
     def test_girth_at_448(self, seed_path):
@@ -153,6 +160,15 @@ class TestGirth:
         outcome = run(["girth", "--matrix", str(path), "--p", p])
         assert outcome.exit_code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["fast", "oracle"])
+    @pytest.mark.parametrize("p", ["1", str(2 ** 70)])
+    def test_out_of_range_p_is_input_error(self, seed_path, p, oracle, capsys):
+        # the oracle used to read its edge budget first: 2**70 exited 3
+        outcome = run(["girth", "--matrix", seed_path, "--p", p, *oracle])
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err == (
+            f"error: modulus must be an integer in [2, 576460752303423488], got {p}\n")
 
 
 class TestExtend:
@@ -444,15 +460,35 @@ class TestSimulate:
         assert len(lines) == 3
         assert lines[1].startswith("3.0,")
 
-    def test_bad_ebn0_list(self, seed_path):
+    def test_bad_ebn0_list(self, seed_path, capsys):
+        for ebn0, message in (("abc", "bad --ebn0 list: 'abc'"), (",", "empty --ebn0 list")):
+            outcome = run(
+                [
+                    "simulate", "--matrix", seed_path, "--p", "29",
+                    "--ebn0", ebn0, "--max-iter", "10",
+                    "--min-error-frames", "2", "--frame-cap", "5", "--seed", "5",
+                ]
+            )
+            assert outcome.exit_code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rows, seed, message", [
+        ([[0, 0, 0], [0, 1, 2], [0, 3, 7]], "5",
+         "rate must be in (0, 1), got 0.0; simulation needs more columns than rows"),
+        (REFERENCE_SEED.entries, "-1", "rng_seed must be non-negative"),
+    ], ids=["square_seed", "negative_seed"])
+    def test_bad_channel_is_input_error(self, tmp_path, rows, seed, message, capsys):
+        path = tmp_path / "seed.json"
+        save_matrix(path, ExponentMatrix.from_rows(rows))
         outcome = run(
             [
-                "simulate", "--matrix", seed_path, "--p", "29",
-                "--ebn0", "abc", "--max-iter", "10",
-                "--min-error-frames", "2", "--frame-cap", "5", "--seed", "5",
+                "simulate", "--matrix", str(path), "--p", "29", "--ebn0", "3",
+                "--max-iter", "10", "--min-error-frames", "2", "--frame-cap", "5",
+                "--seed", seed,
             ]
         )
         assert outcome.exit_code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("ebn0", ["-inf", "-3100", "3080", "1e400"])
     def test_unusable_ebn0_is_input_error(self, seed_path, ebn0, capsys):
@@ -536,6 +572,27 @@ class TestSimulate:
         assert outcome.stdout_payload.split("\n")[1:] == ["inf,3,0,0,0.0,0.0,true"] * 2
 
 
+# Matrix files every command must refuse with exit 2, and no traceback.
+_HOSTILE_FILES = {
+    "list": b"[[0, 0], [0, 1]]",
+    "nan": b'{"rows": 1, "cols": 2, "entries": [[0, NaN]]}',
+    "digits": b'{"rows": 1, "cols": 2, "entries": [[0, ' + b"7" * 5000 + b"]]}",
+    "non_utf8": b'{"rows": 1, "cols": 2, "entries": [[0, 1]]}\xff\xfe',
+    "true": b'{"rows": 1, "cols": 2, "entries": [[0, true]]}',
+    "float": b'{"rows": 1, "cols": 2, "entries": [[0, 1.5]]}',
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+}
+_MATRIX_COMMANDS = {
+    "verify": ["verify", "--q", "393"],
+    "girth": ["girth", "--p", "29"],
+    "oracle": ["girth", "--p", "29", "--oracle"],
+    "extend": ["extend", "--q", "393", "--from", "449", "--to", "451"],
+    "export": ["export", "--p", "29", "--format", "alist"],
+    "simulate": ["simulate", "--p", "29", "--ebn0", "3", "--max-iter", "5",
+                 "--min-error-frames", "1", "--frame-cap", "2", "--seed", "0"],
+}
+
+
 class TestErrorPaths:
     def test_unknown_command(self):
         assert run(["bogus"]).exit_code == 2
@@ -556,6 +613,17 @@ class TestErrorPaths:
         path = tmp_path / "wrong.json"
         path.write_text(json.dumps({"rows": 1}))
         assert run(["girth", "--matrix", str(path), "--p", "5"]).exit_code == 2
+
+    @pytest.mark.parametrize("content", _HOSTILE_FILES.values(), ids=list(_HOSTILE_FILES))
+    @pytest.mark.parametrize("argv", _MATRIX_COMMANDS.values(), ids=list(_MATRIX_COMMANDS))
+    def test_hostile_matrix_file_is_input_error(self, tmp_path, argv, content, capsys):
+        # deep nesting used to raise RecursionError out of run
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        outcome = run([argv[0], "--matrix", str(path), *argv[1:]])
+        assert (outcome.exit_code, outcome.stdout_payload) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
     @pytest.mark.parametrize(

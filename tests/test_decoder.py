@@ -217,6 +217,11 @@ class TestDecodeSp:
         with pytest.raises(ValueError, match="finite"):
             decode_sp(TOY_H, np.array([1.0, np.inf, 0, 0, 0, 0]), max_iter=2)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_non_positive_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValueError, match=r"^max_iter must be >= 1$"):
+            decode_sp(TOY_H, np.zeros(6), max_iter=max_iter)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="n_cols"):
             decode_sp(TOY_H, np.zeros(4), max_iter=2)

@@ -388,6 +388,29 @@ class TestTightnessWitness:
         with pytest.raises(ValueError, match="sum is zero"):
             tightness_witness(m)
 
+    @pytest.mark.parametrize("rows", [[[0, 0, 0], [0, 1, 2], [0, 10, 7]], [[0], [0], [0]]])
+    def test_no_bound_is_the_family_error(self, rows):
+        # a zero sum, or a (3,1) seed, which used to get its own message
+        m = ExponentMatrix.from_rows(rows)
+        with pytest.raises(ValueError) as family:
+            QcFamily(m, range(500, 501))
+        with pytest.raises(ValueError) as witness:
+            tightness_witness(m)
+        assert str(witness.value) == str(family.value)
+        assert str(family.value).startswith("no min_P:")
+
+    @pytest.mark.parametrize("rows", [[[0, 0], [0, 1]], [[0, 0], [0, 1], [0, 3], [0, 4]],
+                                      [[1, 0], [0, 1], [0, 3]], [[0, 0], [0, 1], [2, 3]]])
+    def test_seed_precondition_is_the_conditions_error(self, rows):
+        # not (3,L), or not canonical: check_seed_conditions' own messages
+        m = ExponentMatrix.from_rows(rows)
+        with pytest.raises(ValueError) as conditions:
+            check_seed_conditions(m, 5)
+        with pytest.raises(ValueError) as witness:
+            tightness_witness(m)
+        assert str(witness.value) == str(conditions.value)
+        assert str(witness.value).startswith(("seed conditions apply", "seed not canonical"))
+
     def test_unsound_formula_seed_is_tight_at_79(self):
         # 2 * p2_max + 1 = 79, yet a 10-cycle closes there; the bound is 80
         m = ExponentMatrix.from_rows([[0, 0, 0], [0, 8, 9], [0, 39, 25]])

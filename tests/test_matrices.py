@@ -22,7 +22,10 @@ from qcgirth import (
 )
 
 from qcgirth.cli import run
+from qcgirth.extension import QcFamily, check_seed_conditions
+from qcgirth.girth import CycleWitness, find_cycle, girth_fast, girth_oracle
 from qcgirth.matrices import MAX_VALUE
+from qcgirth.search import SearchConfig
 
 from conftest import irregular_rows, qc_codes, random_canonical_matrix
 
@@ -104,6 +107,40 @@ class TestQcCode:
         assert QcCode(ref_seed, MAX_VALUE).block_length == 6 * MAX_VALUE
         with pytest.raises(ValueError, match="circulant size"):
             QcCode(ref_seed, MAX_VALUE + 1)
+
+
+# Every API that takes a circulant size, modulus, Q or q_cap: (name, call).
+_SIZE_TAKERS = {
+    "QcCode": ("circulant size", QcCode),
+    "girth_fast": ("modulus", girth_fast),
+    "find_cycle": ("modulus", lambda m, v: find_cycle(m, v, 8)),
+    "shortest_cycle": ("modulus", lambda m, v: m.spectrum.shortest_cycle(v)),
+    "witness": ("modulus", lambda m, v: m.spectrum.witness(v, 8)),
+    "girth_oracle": ("modulus", girth_oracle),
+    "check_seed_conditions": ("Q", check_seed_conditions),
+    "SearchConfig": ("q_cap", lambda m, v: SearchConfig(6, v)),
+    "CycleWitness": ("modulus", lambda m, v: CycleWitness(4, (0, 1), (0, 1), v)),
+}
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize("value", [1, 2**59 + 1, 448.5, 448.0, np.int64(448), True],
+                             ids=repr)
+    @pytest.mark.parametrize("taker", _SIZE_TAKERS)
+    def test_every_taker_refuses_with_one_message(self, ref_seed, taker, value):
+        # floats and numpy integers used to pass the range-only checks: girth_fast
+        # answered 12 at 448.5, and np.int64 reached the JSON report
+        name, call = _SIZE_TAKERS[taker]
+        with pytest.raises(ValueError) as info:
+            call(ref_seed, value)
+        assert str(info.value) == f"{name} must be an integer in [2, {MAX_VALUE}], got {value!r}"
+
+    @pytest.mark.parametrize("sizes", [range(449, MAX_VALUE + 3), range(MAX_VALUE + 2, 448, -1)])
+    def test_family_refuses_a_range_past_the_limit(self, ref_seed, sizes):
+        with pytest.raises(ValueError) as info:
+            QcFamily(ref_seed, sizes)
+        assert str(info.value) == (f"circulant size must be an integer in [2, {MAX_VALUE}], "
+                                   f"got {MAX_VALUE + 1}")
 
 
 class TestSparseBinaryMatrix:
