@@ -9,15 +9,17 @@ Layout (positions are 1-indexed, lines newline-terminated, single spaces):
     N lines: row positions of each column, zero-padded to max_col_weight
     M lines: column positions of each row, zero-padded to max_row_weight
 
-The reader reads a text of ASCII digits, spaces and newlines alone, no
-token over 18 digits, in one numpy pass; any other text it splits line by
-line, reading each token with Python ``int``, whose spellings it accepts.
-The weight lines and support blocks are slices of the token array, checked
-as whole arrays.  It accepts zero padding and unsorted positions; it rejects
-duplicate and out-of-range positions, a line whose nonzero count differs
-from its declared weight, and column lists that disagree with the row
-lists.  Only a failed check walks the lines in file order, to report the
-first bad one.
+The writer lays each block out from the fixed-degree layout arrays, one
+whole-array pass per digit place.  The reader reads a text of ASCII digits,
+spaces and newlines alone, no token over 18 digits, in one numpy pass: line
+ends and token starts from the bytes, values from ``np.fromstring``.  Any
+other text it splits line by line, reading each token with Python ``int``,
+whose spellings it accepts.  The weight lines and support blocks are slices
+of the token array, checked as whole arrays.  It accepts zero padding and
+unsorted positions; it rejects duplicate and out-of-range positions, a line
+whose nonzero count differs from its declared weight, and column lists that
+disagree with the row lists.  Only a failed check walks the lines in file
+order, to report the first bad one.
 """
 
 from __future__ import annotations
@@ -39,17 +41,39 @@ def export_alist(matrix: SparseBinaryMatrix | QcCode) -> str:
         (cols, gather), m, n = qc_layout(matrix), matrix.parity_rows, matrix.block_length
     else:
         (cols, gather), m, n = matrix.layout, matrix.n_rows, matrix.n_cols
-    row_lists = np.where(cols < n, cols + 1, 0).T
-    col_lists = np.where(gather < cols.size, gather % m + 1, 0).T
-    weights = [np.count_nonzero(a, axis=1)[None] for a in (col_lists, row_lists)]
-    blocks = map(_lines, weights + [col_lists, row_lists])
-    return f"{n} {m}\n{col_lists.shape[1]} {row_lists.shape[1]}\n" + "".join(blocks)
+    in_row, in_col = cols < n, gather < cols.size  # slots that hold a one
+    return "".join([  # one block's int64 positions alive at a time
+        f"{n} {m}\n{gather.shape[0]} {cols.shape[0]}\n",
+        _lines(np.count_nonzero(in_col, axis=0)[None]),
+        _lines(np.count_nonzero(in_row, axis=0)[None]),
+        _lines(np.where(in_col, gather % m + 1, 0).T),
+        _lines(np.where(in_row, cols + 1, 0).T),
+    ])
 
 
 def _lines(a: np.ndarray) -> str:
-    """One line per row of *a*, its entries separated by single spaces."""
-    line = " ".join(["%d"] * a.shape[1]) + "\n"
-    return (line * a.shape[0]) % tuple(a.ravel().tolist())
+    """One line per row of *a* (non-negative), its entries separated by single spaces.
+
+    Each entry takes one row of a uint8 buffer: its decimal digits right-aligned,
+    one column per place, then a space or, at the end of a line, a newline.  One
+    boolean compaction drops the leading zeros.
+    """
+    rows, cols = a.shape
+    if not cols:
+        return "\n" * rows
+    top = int(a.max())
+    rest = a.astype(np.uint32 if top < 2**32 else np.uint64, order="C").ravel()
+    width = len(str(top))
+    buf = np.empty((rest.size, width + 1), np.uint8)
+    keep = np.ones(buf.shape, bool)
+    for j in range(width - 1, 0, -1):
+        buf[:, j] = rest % 10 + 48
+        rest //= 10
+        np.not_equal(rest, 0, out=keep[:, j - 1])  # a digit left of place j
+    buf[:, 0] = rest + 48
+    buf[:, width] = ord(" ")
+    buf[cols - 1 :: cols, width] = ord("\n")
+    return str(buf[keep].data, "ascii")  # decoded from the array, with no bytes copy
 
 
 def _int_fields(line: str, what: str) -> list[int]:
@@ -61,17 +85,20 @@ def _int_fields(line: str, what: str) -> list[int]:
 
 def import_alist(text: str) -> SparseBinaryMatrix:
     """Parse alist text back into a SparseBinaryMatrix, by the rules above."""
-    lines = text.splitlines()
-    if len(lines) < 4:
+    plain = _plain_tokens(text)
+    lines = None if plain else text.splitlines()
+    n_lines = plain[2].size if plain else len(lines)
+    if n_lines < 4:
         raise ValueError("alist: fewer than 4 header lines")
-    n, m = _parse_pair(lines[0], "size line")
-    max_col, max_row = _parse_pair(lines[1], "weight line")
+    size_line, weight_line = text[: plain[2][1]].split("\n") if plain else lines[:2]
+    n, m = _parse_pair(size_line, "size line")
+    max_col, max_row = _parse_pair(weight_line, "weight line")
     if n < 1 or m < 1:
         raise ValueError("alist: matrix dimensions must be positive")
-    tokens = _plain_tokens(text) or _split_tokens(lines, 2, 4 + n + m)
-    ones = tokens and len(lines) >= 4 + n + m and _supports(*tokens, n, m, max_col, max_row)
+    tokens = plain[:2] if plain else _split_tokens(lines, 2, 4 + n + m)
+    ones = tokens and n_lines >= 4 + n + m and _supports(*tokens, n, m, max_col, max_row)
     if not ones:
-        _first_error(lines, n, m, max_col, max_row)
+        _first_error(text.splitlines(), n, m, max_col, max_row)
         raise AssertionError("alist: array check and line check disagree")
     at, pos = ones
     split = np.searchsorted(at, n)
@@ -90,19 +117,24 @@ def _parse_pair(line: str, what: str) -> tuple[int, int]:
 
 
 def _plain_tokens(text: str):
-    """(values, line) of every token in one pass, or None unless the text is only
-    ASCII digits, spaces and newlines, no token over 18 digits: numpy reads those exactly."""
+    """(values, line, line ends) of every token in one pass, or None unless the text is
+    only ASCII digits, spaces and newlines, no token over 18 digits: numpy reads those
+    exactly.  A last line with no newline ends at the end of the text, as in splitlines."""
     if not text.isascii():  # first, since a lone surrogate cannot be encoded
         return None
     raw = np.frombuffer(text.encode(), np.uint8)
     digit, newline = raw - ord("0") < 10, raw == ord("\n")
     if not (digit | newline | (raw == ord(" "))).all():
         return None
-    starts, ends = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2).T
+    starts, stops = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2).T
     values = np.fromstring(text, dtype=np.int64, sep=" ")
-    if values.size != starts.size or (ends - starts > 18).any():
+    if values.size != starts.size or (stops - starts > 18).any():
         return None
-    return values, np.searchsorted(np.flatnonzero(newline), starts)
+    ends = np.flatnonzero(newline)
+    if raw.size and not newline[-1]:
+        ends = np.append(ends, raw.size)
+    per_line = np.diff(np.searchsorted(starts, ends), prepend=0)
+    return values, np.repeat(np.arange(ends.size), per_line), ends
 
 
 def _split_tokens(lines: list[str], start: int, stop: int):

@@ -104,8 +104,8 @@ def _dumps_table(head: dict, key: str, item: str, values: list[int]) -> str:
     """``json.dumps({**head, key: items}, indent=2)``, items from one template.
 
     Every item is *item*, its ``%d`` fields filled from *values* in order,
-    in one ``%`` format (the idiom of ``alist._lines``): the indent encoder
-    of the standard library is pure Python and walks every value.
+    in one ``%`` format: the indent encoder of the standard library is pure
+    Python and walks every value.
     """
     text = json.dumps({**head, key: []}, indent=2)
     body = ",\n".join([item] * (len(values) // item.count("%d"))) % tuple(values)

@@ -54,6 +54,13 @@ _MAX_WORKERS = 4
 _SPLIT_MIN_WORK = 100_000
 
 
+def _check_counts(**counts) -> None:
+    """Refuse a count or seed that is not a Python int, or is a bool, by its name."""
+    for name, value in counts.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """BPSK/AWGN operating point; ebn0_db may be math.inf (noiseless).
@@ -71,6 +78,7 @@ class ChannelParams:
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}; "
                              "simulation needs more columns than rows")
+        _check_counts(rng_seed=self.rng_seed)
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
         if self.ebn0_db != math.inf:
@@ -172,7 +180,7 @@ def _sp_decode(
 
         # Variable update; the parity test reads the hard decisions at the edges.
         np.add(llr, _sum_in_order(c2v_slots[gather]), out=total[:n])
-        np.take(total, cols, out=v2c)
+        np.take(total, cols, out=v2c, mode="clip")  # cols < total.size; "raise" copies via a buffer
         # Ties carry no information; their syndrome is never validated.
         tied = (total[:n] == 0.0).any()
         if not tied and not np.bitwise_xor.reduce(v2c < 0.0, axis=0).any():
@@ -187,6 +195,7 @@ def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
     Stops early as soon as the hard decision has a zero syndrome; returns
     the hard decisions, the convergence flag and the iterations used.
     """
+    _check_counts(max_iter=max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     values = np.asarray(llr, dtype=np.float64)
@@ -284,6 +293,7 @@ def monte_carlo(
     A frame whose count does not arrive is decoded here.  Every child is
     killed and reaped before this returns or raises.
     """
+    _check_counts(max_iter=max_iter, min_error_frames=min_error_frames, frame_cap=frame_cap)
     if max_iter < 1 or min_error_frames < 1 or frame_cap < 1:
         raise ValueError("max_iter, min_error_frames and frame_cap must be >= 1")
     cols, gather = qc_layout(code)

@@ -71,9 +71,10 @@ class CycleWitness:
     modulus: int
 
     def __post_init__(self):
-        k = self.length // 2
-        if self.length % 2 != 0 or k < 2:
+        length = self.length
+        if not isinstance(length, int) or isinstance(length, bool) or length % 2 or length < 4:
             raise ValueError(f"cycle length must be an even integer >= 4, got {self.length}")
+        k = length // 2
         if len(self.row_seq) != k or len(self.col_seq) != k:
             raise ValueError("row_seq and col_seq must each hold length/2 indices")
         check_size(self.modulus, "modulus")

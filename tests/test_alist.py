@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -168,6 +169,50 @@ def test_round_trip_random_matrices(m):
 @example(SparseBinaryMatrix.from_rows(2, 5, ((0, 4), ())))
 def test_export_matches_reference(m):
     assert export_alist(m) == _reference_export_alist(m)
+
+
+def _reference_lines(a) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in a.tolist())
+
+
+@pytest.mark.parametrize("digits", range(1, 6))
+def test_export_matches_reference_at_digit_widths(digits):
+    # positions 9/10, 99/100, ... up to 10**digits, and row 0 and column 0 of
+    # weight 11 or 101 (every line pads to the largest weight), so lines mix widths
+    n = 10 ** digits
+    heavy = min(n, 101 if n <= 1000 else 11)
+    ones = {(b, b) for j in range(1, digits + 1) for b in (10 ** j - 2, 10 ** j - 1)}
+    ones |= {(0, c) for c in range(heavy)} | {(r, 0) for r in range(heavy)}
+    rows = [[] for _ in range(n)]
+    for r, c in sorted(ones):
+        rows[r].append(c)
+    m = SparseBinaryMatrix.from_rows(n, n, tuple(map(tuple, rows)))
+    text = export_alist(m)
+    assert text == _reference_export_alist(m)
+    assert import_alist(text) == m
+
+
+def test_export_matches_reference_without_ones():
+    # every weight, and so the maximum, is 0: each position line is empty
+    for m in (SparseBinaryMatrix.from_rows(3, 4, ((), (), ())),
+              SparseBinaryMatrix.from_rows(1, 1, ((),))):
+        assert export_alist(m) == _reference_export_alist(m)
+
+
+@pytest.mark.parametrize("digits", range(1, 20))
+def test_lines_at_digit_widths(digits):
+    # up to 19 digits, past the uint32 the writer uses below 2**32
+    edge = [10 ** digits - 1, 10 ** digits] if digits < 19 else [2 ** 63 - 1]
+    values = [0, 1, 9, *edge, 2 ** 32 - 1, 2 ** 32]
+    a = np.array([values, values[::-1]], dtype=np.int64)
+    assert qcgirth.alist._lines(a) == _reference_lines(a)
+    assert qcgirth.alist._lines(a[:, :1]) == _reference_lines(a[:, :1])
+    assert qcgirth.alist._lines(a.T) == _reference_lines(a.T)
+
+
+def test_shipped_seed_export_matches_reference_at_4419(ref_seed):
+    code = QcCode(ref_seed, 4419)
+    assert export_alist(code) == _reference_export_alist(expand(code))
 
 
 # A token replaced by an integer (zero, negative, in or out of range) or by

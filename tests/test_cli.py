@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -428,6 +429,27 @@ class TestExport:
             assert outcome.stdout_payload == json.dumps(
                 {"written": str(target), "n_rows": h.n_rows, "n_cols": h.n_cols}
             )
+
+    def test_alist_peak_memory_at_the_edge_budget(self, seed_path, tmp_path):
+        # 3 * 6 * 277777 edges, the most the layout budget allows.  The former
+        # writer, one "%" format over a tuple of Python ints, peaked at 480 MB
+        # here: 6.3 traced bytes per byte of the 76 MB file.
+        target = tmp_path / "h.alist"
+        argv = ["export", "--matrix", seed_path, "--p", "277777", "--format", "alist",
+                "--out", str(target)]
+        tracemalloc.start()
+        try:
+            outcome = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        try:
+            assert outcome.exit_code == 0
+            with target.open() as f:
+                assert f.readline() == "1666662 833331\n"
+            assert peak <= 6 * target.stat().st_size
+        finally:
+            target.unlink()
 
     @pytest.mark.parametrize("p", ["277778", "100000000"])
     def test_code_over_edge_budget_is_budget_error(self, seed_path, tmp_path, p, capsys):

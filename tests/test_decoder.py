@@ -222,6 +222,11 @@ class TestDecodeSp:
         with pytest.raises(ValueError, match=r"^max_iter must be >= 1$"):
             decode_sp(TOY_H, np.zeros(6), max_iter=max_iter)
 
+    @pytest.mark.parametrize("max_iter", [5.5, 2.0, True, np.int64(2)])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got "):
+            decode_sp(TOY_H, np.zeros(6), max_iter=max_iter)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="n_cols"):
             decode_sp(TOY_H, np.zeros(4), max_iter=2)
@@ -330,6 +335,12 @@ class TestChannelParams:
         with pytest.raises(ValueError, match="noise variance"):
             ChannelParams(ebn0, 0.5, 1)
 
+    @pytest.mark.parametrize("seed", [1.5, 3.0, True, np.int64(3), "3"])
+    def test_rejects_non_integer_seed(self, seed):
+        # numpy used to refuse a float seed only at the first frame (TypeError)
+        with pytest.raises(ValueError, match=r"^rng_seed must be an integer, got "):
+            ChannelParams(3.0, 0.5, seed)
+
 
 class TestMonteCarlo:
     def test_noiseless_runs_error_free(self, ref_seed):
@@ -347,6 +358,14 @@ class TestMonteCarlo:
         channel = ChannelParams(3080.0, 0.5, 1)
         with pytest.raises(ValueError, match="not finite"):
             monte_carlo(QcCode(ref_seed, 29), channel, 5, 1, 1)
+
+    @pytest.mark.parametrize("field", ["max_iter", "min_error_frames", "frame_cap"])
+    @pytest.mark.parametrize("value", [2.5, 5.0, True, np.int64(5), None])
+    def test_rejects_non_integer_counts(self, ref_seed, field, value):
+        # frame_cap=2.5 used to decode 3 frames, max_iter=True one iteration
+        counts = {"max_iter": 5, "min_error_frames": 1, "frame_cap": 4, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            monte_carlo(QcCode(ref_seed, 29), ChannelParams(3.0, 0.5, 1), **counts)
 
     def test_frame_cap_semantics(self, ref_seed):
         code = QcCode(ref_seed, 29)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ def test_budget_refusal():
     big = SparseBinaryMatrix.from_rows(1, MAX_RANK_BITS + 1, ((),))
     with pytest.raises(BudgetError, match="budget"):
         gf2_rank(big)
+
+
+def test_peak_memory_is_order_of_the_ones():
+    # Two ones in a 1 x MAX_RANK_BITS row: numbering bits over all columns
+    # would build a 1.25 MB bitset, and a table per column tens of MB.
+    m = SparseBinaryMatrix.from_rows(1, MAX_RANK_BITS, ((0, MAX_RANK_BITS - 1),))
+    tracemalloc.start()
+    try:
+        assert gf2_rank(m) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
 
 
 def _dense_rank(matrix: SparseBinaryMatrix) -> int:

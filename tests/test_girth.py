@@ -184,6 +184,12 @@ class TestCycleWitness:
         with pytest.raises(ValueError):
             CycleWitness(5, (0, 1), (0, 1), 7)
 
+    @pytest.mark.parametrize("length", [4.0, 8.0, True, "4", None, 2, 0, -4])
+    def test_rejects_length_that_is_not_an_even_integer_of_at_least_4(self, length):
+        # 4.0 used to raise TypeError from range(k)
+        with pytest.raises(ValueError, match="cycle length must be an even integer >= 4"):
+            CycleWitness(length, (0, 1), (0, 1), 7)
+
     def test_rejects_out_of_range_evaluation(self, ref_seed):
         w = CycleWitness(4, (0, 9), (0, 1), 7)
         with pytest.raises(ValueError, match="out of range"):
