@@ -30,8 +30,8 @@ def gf2_rank(matrix: SparseBinaryMatrix) -> int:
             f"rank computation refused: {total_bits} bits exceeds the "
             f"{MAX_RANK_BITS}-bit budget"
         )
-    _, column = np.unique(matrix.indices, return_inverse=True)
-    d, nnz = int(column.max(initial=-1)) + 1, column.size
+    distinct, column = np.unique(matrix.indices, return_inverse=True)
+    d, nnz = distinct.size, column.size
     first = np.empty(d, np.int64)
     first[column[::-1]] = np.arange(nnz - 1, -1, -1)  # the last write, the first meet, stays
     met = np.zeros(nnz, bool)
