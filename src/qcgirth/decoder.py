@@ -12,6 +12,12 @@ A QC code has dc = L and dv = J and :func:`qc_layout` builds it from the
 exponents.  Other matrices pad short rows with column N (tanh forced to 1.0)
 and short columns with a slot that stays 0.0.
 
+Every array a decode writes lives in a workspace, allocated once per
+:func:`decode_sp` call and once per :func:`monte_carlo` point, and each
+numpy call writes into it through ``out=``.  No iteration allocates, so on
+codes whose edge arrays are larger than the allocator keeps (N = 44190)
+an iteration takes no page faults.
+
 Simulation transmits the all-zero codeword over BPSK (bit 0 -> +1) plus
 Gaussian noise with variance 1 / (2 * rate * 10^(ebn0_db/10)), which is
 valid for linear codes on output-symmetric channels and removes any need
@@ -73,6 +79,9 @@ class ChannelParams:
     rng_seed: int
 
     def __post_init__(self):
+        for name in ("ebn0_db", "rate"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if math.isnan(self.ebn0_db):
             raise ValueError("ebn0_db must not be NaN")
         if not 0.0 < self.rate < 1.0:
@@ -130,6 +139,8 @@ class TrialSummary:
 def syndrome(matrix: SparseBinaryMatrix, word) -> np.ndarray:
     """H * word^T over GF(2), as a uint8 vector of length n_rows."""
     w = np.asarray(word)
+    if w.dtype.kind not in "biu":
+        raise ValueError(f"word must be an integer or bool array, got dtype {w.dtype}")
     if w.shape != (matrix.n_cols,):
         raise ValueError(
             f"word length {w.shape} does not match n_cols {matrix.n_cols}"
@@ -139,54 +150,95 @@ def syndrome(matrix: SparseBinaryMatrix, word) -> np.ndarray:
     return np.bitwise_xor.reduce(bits[matrix.layout[0]], axis=0)
 
 
-def _sum_in_order(slots: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 from 0.0 in slot order, as np.bincount adds (ndarray.sum pairs)."""
-    acc = np.zeros(slots.shape[1])
+def _sum_in_order(slots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over axis 0 from 0.0 in slot order, as np.bincount adds (ndarray.sum pairs).
+
+    Writes into *out* when given.
+    """
+    acc = np.empty(slots.shape[1]) if out is None else out
+    acc.fill(0.0)
     for slot in slots:
         acc += slot
     return acc
 
 
+class _Workspace:
+    """Every array a decode on one (cols, gather) layout writes.
+
+    Allocated once and reused frame after frame, so that no iteration
+    allocates.  On wide codes glibc hands freed edge-sized temporaries back
+    to the OS, and the first writes to the next ones page-fault.
+    """
+
+    def __init__(self, cols: np.ndarray, gather: np.ndarray):
+        n, m = gather.shape[1], cols.shape[1]
+        self.cols, self.gather = cols, gather
+        self.pad = np.flatnonzero(cols == n)
+        self.llr = np.empty(n)  # a frame's channel LLRs
+        # total[n] belongs to the padding column: +inf is never a negative bit.
+        self.total = np.empty(n + 1)
+        self.total[n] = np.inf
+        self.v2c, self.t, self.prod = (np.empty(cols.shape) for _ in range(3))
+        # The slot after the last edge pads short columns: it stays 0.0.
+        self.c2v_slots = np.empty(cols.size + 1)
+        self.c2v_slots[-1] = 0.0
+        self.gathered = np.empty(gather.shape)
+        self.row_sum, self.col_sum, self.row_sign = np.empty(m), np.empty(n), np.empty(m)
+        self.neg, self.zero = np.empty(cols.shape, bool), np.empty(cols.shape, bool)
+        self.parity, self.flags = np.empty(m, bool), np.empty(n, bool)
+
+    def decode(self, llr: np.ndarray, max_iter: int) -> DecodeResult:
+        """Decode *llr* (length N, finite); it may be ``self.llr``."""
+        cols, t, prod, v2c, neg, zero = self.cols, self.t, self.prod, self.v2c, self.neg, self.zero
+        n = llr.shape[0]
+        total, parity = self.total[:n], self.parity
+        c2v = self.c2v_slots[:-1].reshape(cols.shape)
+        total[:] = llr
+        np.take(self.total, cols, out=v2c, mode="clip")  # cols < total.size
+        np.clip(v2c, -LLR_CLAMP, LLR_CLAMP, out=v2c)
+        for iteration in range(1, max_iter + 1):
+            # Check update: leave-one-out tanh products via log magnitudes,
+            # with explicit zero tracking so exact-zero messages stay exact.
+            np.tanh(np.multiply(v2c, 0.5, out=t), out=t)
+            t.flat[self.pad] = 1.0
+            np.abs(t, out=prod)
+            has_zero = not t.all()
+            if has_zero:
+                np.equal(t, 0.0, out=zero)
+                np.copyto(prod, 1.0, where=zero)
+                np.copyto(t, 0.0, where=zero)
+            np.log(prod, out=prod)
+            np.bitwise_xor.reduce(np.less(t, 0.0, out=neg), axis=0, out=parity)
+            np.subtract(1.0, np.multiply(2.0, parity, out=self.row_sign), out=self.row_sign)
+            np.exp(np.subtract(_sum_in_order(prod, self.row_sum), prod, out=prod), out=prod)
+            # t * row_sign has the sign of the product over the other edges.
+            np.copysign(prod, np.multiply(t, self.row_sign, out=t), out=prod)
+            if has_zero:
+                # Another edge of the row is zero iff the row has more zeros than this edge.
+                np.greater(np.add.reduce(zero, axis=0, out=self.row_sum), zero, out=zero)
+                np.copyto(prod, 0.0, where=zero)
+            np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT, out=prod)
+            np.multiply(2.0, np.arctanh(prod, out=prod), out=c2v)
+
+            # Variable update; the parity test reads the hard decisions at the edges.
+            np.take(self.c2v_slots, self.gather, out=self.gathered, mode="clip")
+            np.add(llr, _sum_in_order(self.gathered, self.col_sum), out=total)
+            # "clip": the default "raise" copies through a buffer when given out=.
+            np.take(self.total, cols, out=v2c, mode="clip")
+            # Ties carry no information; their syndrome is never validated.
+            if not np.equal(total, 0.0, out=self.flags).any():
+                np.bitwise_xor.reduce(np.less(v2c, 0.0, out=neg), axis=0, out=parity)
+                if not parity.any():
+                    hard = np.less(total, 0.0, out=self.flags).astype(np.uint8)
+                    return DecodeResult(hard, True, iteration)
+            np.clip(np.subtract(v2c, c2v, out=v2c), -LLR_CLAMP, LLR_CLAMP, out=v2c)
+        return DecodeResult(np.less(total, 0.0, out=self.flags).astype(np.uint8), False, max_iter)
+
+
 def _sp_decode(
     cols: np.ndarray, gather: np.ndarray, llr: np.ndarray, max_iter: int
 ) -> DecodeResult:
-    n = llr.shape[0]
-    pad = np.flatnonzero(cols == n)
-    # total[n] belongs to the padding column: +inf is never a negative bit.
-    total = np.append(llr, np.inf)
-    v2c = np.clip(total[cols], -LLR_CLAMP, LLR_CLAMP)
-    # The slot after the last edge pads short columns: it stays 0.0.
-    c2v_slots = np.zeros(cols.size + 1)
-    c2v = c2v_slots[:-1].reshape(cols.shape)
-    for iteration in range(1, max_iter + 1):
-        # Check update: leave-one-out tanh products via log magnitudes,
-        # with explicit zero tracking so exact-zero messages stay exact.
-        t = np.tanh(0.5 * v2c)
-        t.flat[pad] = 1.0
-        prod = np.abs(t)
-        is_zero = None if t.all() else t == 0.0
-        if is_zero is not None:
-            prod[is_zero] = 1.0
-            t[is_zero] = 0.0
-        log_mag = np.log(prod, out=prod)
-        row_sign = 1.0 - 2.0 * np.bitwise_xor.reduce(t < 0.0, axis=0)
-        np.exp(np.subtract(_sum_in_order(log_mag), log_mag, out=prod), out=prod)
-        # t * row_sign has the sign of the product over the other edges.
-        np.copysign(prod, np.multiply(t, row_sign, out=t), out=prod)
-        if is_zero is not None:
-            prod[np.add.reduce(is_zero, axis=0) - is_zero > 0] = 0.0
-        np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT, out=prod)
-        np.multiply(2.0, np.arctanh(prod, out=prod), out=c2v)
-
-        # Variable update; the parity test reads the hard decisions at the edges.
-        np.add(llr, _sum_in_order(c2v_slots[gather]), out=total[:n])
-        np.take(total, cols, out=v2c, mode="clip")  # cols < total.size; "raise" copies via a buffer
-        # Ties carry no information; their syndrome is never validated.
-        tied = (total[:n] == 0.0).any()
-        if not tied and not np.bitwise_xor.reduce(v2c < 0.0, axis=0).any():
-            return DecodeResult((total[:n] < 0.0).astype(np.uint8), True, iteration)
-        np.clip(np.subtract(v2c, c2v, out=v2c), -LLR_CLAMP, LLR_CLAMP, out=v2c)
-    return DecodeResult((total[:n] < 0.0).astype(np.uint8), False, max_iter)
+    return _Workspace(cols, gather).decode(llr, max_iter)
 
 
 def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
@@ -198,7 +250,10 @@ def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
     _check_counts(max_iter=max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    values = np.asarray(llr, dtype=np.float64)
+    values = np.asarray(llr)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"llr must be a real int or float array, got dtype {values.dtype}")
+    values = values.astype(np.float64, copy=False)
     if values.shape != (matrix.n_cols,):
         raise ValueError(
             f"llr length {values.shape} does not match n_cols {matrix.n_cols}"
@@ -208,25 +263,28 @@ def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
     return _sp_decode(*matrix.layout, values, max_iter)
 
 
-def _frame_wrong_bits(
-    cols: np.ndarray, gather: np.ndarray, channel: ChannelParams, max_iter: int, frame: int
-) -> int:
+def _frame_wrong_bits(ws: _Workspace, channel: ChannelParams, max_iter: int, frame: int) -> int:
     """Wrong decoded bits of one frame, or _NOT_FINITE if its channel LLRs overflow.
 
     The noise comes only from the stream (rng_seed, frame).
     """
-    n = gather.shape[1]
+    llr = ws.llr
     sigma2 = channel.noise_variance
     if sigma2 == 0.0:
-        llr = np.full(n, 2.0 * LLR_CLAMP)
+        llr.fill(2.0 * LLR_CLAMP)
     else:
-        rng = np.random.default_rng([channel.rng_seed, frame])
-        received = 1.0 + rng.normal(0.0, math.sqrt(sigma2), n)
+        # The received word 1.0 + sigma * z, then 2.0 * received / sigma2.
+        # rng.normal(0.0, sigma) would add 0.0 to sigma * z, which only
+        # changes the sign of a zero, and 1.0 + either zero is 1.0.
+        np.random.default_rng([channel.rng_seed, frame]).standard_normal(out=llr)
+        llr *= math.sqrt(sigma2)
+        llr += 1.0
         with np.errstate(over="ignore"):
-            llr = 2.0 * received / sigma2
-        if not np.isfinite(llr).all():
+            llr *= 2.0
+            llr /= sigma2
+        if not np.isfinite(llr, out=ws.flags).all():
             return _NOT_FINITE
-    return int(_sp_decode(cols, gather, llr, max_iter).decoded.sum())
+    return int(ws.decode(llr, max_iter).decoded.sum())
 
 
 def _worker_count(frame_cap: int, edges: int) -> int:
@@ -297,7 +355,8 @@ def monte_carlo(
     if max_iter < 1 or min_error_frames < 1 or frame_cap < 1:
         raise ValueError("max_iter, min_error_frames and frame_cap must be >= 1")
     cols, gather = qc_layout(code)
-    decode_frame = partial(_frame_wrong_bits, cols, gather, channel, max_iter)
+    # Made before the fork: each worker writes its own copy, frame after frame.
+    decode_frame = partial(_frame_wrong_bits, _Workspace(cols, gather), channel, max_iter)
     noiseless = channel.noise_variance == 0.0  # then every frame has frame 0's LLRs
     if noiseless:
         decode_frame = partial(lambda wrong, frame: wrong, decode_frame(0))

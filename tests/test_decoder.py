@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,24 @@ class TestSyndrome:
         with pytest.raises(ValueError, match="length"):
             syndrome(TOY_H, np.zeros(5, dtype=int))
 
+    @pytest.mark.parametrize(
+        "word",
+        [
+            np.array([0.9, 1.5, 0.0, 0.0, 0.0, 0.0]),
+            np.zeros(6, dtype=complex),
+            np.array(["1", "0", "0", "0", "0", "0"]),
+            np.array([1, 0, 0, 0, 0, None], dtype=object),
+        ],
+    )
+    def test_non_integer_word_rejected(self, word):
+        # a float word used to be truncated toward zero before the & 1
+        with pytest.raises(ValueError, match=r"^word must be an integer or bool array, got dtype "):
+            syndrome(TOY_H, word)
+
+    def test_bool_word_reads_as_bits(self):
+        bits = np.array([1, 0, 1, 1, 0, 0])
+        assert np.array_equal(syndrome(TOY_H, bits.astype(bool)), syndrome(TOY_H, bits))
+
     @settings(max_examples=150, deadline=None)
     @given(
         matrix=st.one_of(
@@ -230,6 +249,26 @@ class TestDecodeSp:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="n_cols"):
             decode_sp(TOY_H, np.zeros(4), max_iter=2)
+
+    @pytest.mark.parametrize(
+        "llr",
+        [
+            np.array([1 + 1j, 2, 3, 4, 5, 6]),
+            ["1", "2", "3", "4", "5", "6"],
+            np.ones(6, dtype=bool),
+            np.array([1.0, 2.0, 3.0, 4.0, 5.0, None], dtype=object),
+        ],
+    )
+    def test_non_real_llr_rejected(self, llr):
+        # a complex vector used to decode its real part, and strings were parsed
+        with pytest.raises(ValueError, match=r"^llr must be a real int or float array, got dtype "):
+            decode_sp(TOY_H, llr, max_iter=3)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float16, np.float32])
+    def test_int_and_narrow_float_llrs_read_as_float64(self, dtype):
+        llr = np.array([3, -1, 2, 5, -4, 1])
+        want = decode_sp(TOY_H, llr.astype(np.float64), max_iter=4)
+        assert _same(decode_sp(TOY_H, llr.astype(dtype), max_iter=4), want)
 
     def test_converged_syndrome_always_zero(self, ref_seed):
         h = expand(QcCode(ref_seed, 53))
@@ -311,6 +350,43 @@ class TestAgainstReference:
         assert _same(decode_sp(matrix, llr, max_iter), decode_sp(matrix, llr.copy(), max_iter))
 
 
+class TestWorkspace:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        matrix=st.one_of(_qc_codes(), _sparse_matrices()),
+        data=st.data(),
+    )
+    def test_one_workspace_decodes_frames_in_a_row(self, matrix, data):
+        # No decode may read what an earlier one left in the workspace.
+        h = expand(matrix) if isinstance(matrix, QcCode) else matrix
+        layout = qc_layout(matrix) if isinstance(matrix, QcCode) else matrix.layout
+        ws = decoder._Workspace(*layout)
+        for _ in range(data.draw(st.integers(2, 5))):
+            llr = data.draw(_llrs(h.n_cols))
+            max_iter = data.draw(st.sampled_from([1, 2, 7, 30]))
+            want = _reference_decode(h, llr, max_iter)
+            if data.draw(st.booleans()):  # as monte_carlo does, from the workspace's own LLRs
+                np.copyto(ws.llr, llr)
+                llr = ws.llr
+            assert _same(ws.decode(llr, max_iter), want)
+
+    def test_warm_frame_allocates_little(self, ref_seed):
+        # At P = 449 a frame used to allocate about 171 bytes per bit; now
+        # only the rng, the hard decisions and numpy's small buffers.
+        cols, gather = qc_layout(QcCode(ref_seed, 449))
+        n = gather.shape[1]
+        ws, channel = decoder._Workspace(cols, gather), ChannelParams(1.0, 0.5, 3)
+        decoder._frame_wrong_bits(ws, channel, 80, 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            decoder._frame_wrong_bits(ws, channel, 80, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n + 64_000
+
+
 class TestChannelParams:
     def test_noise_variance(self):
         channel = ChannelParams(ebn0_db=3.0, rate=0.5, rng_seed=1)
@@ -334,6 +410,15 @@ class TestChannelParams:
         # zero, infinite and overflowing sigma^2 respectively
         with pytest.raises(ValueError, match="noise variance"):
             ChannelParams(ebn0, 0.5, 1)
+
+    @pytest.mark.parametrize(
+        "ebn0_db, rate, name",
+        [(True, 0.5, "ebn0_db"), (np.False_, 0.5, "ebn0_db"), (1.0, True, "rate"), (1.0, np.True_, "rate")],
+    )
+    def test_rejects_bool_point(self, ebn0_db, rate, name):
+        # ChannelParams(True, 0.5, 1) used to be the 1 dB point
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got "):
+            ChannelParams(ebn0_db, rate, 1)
 
     @pytest.mark.parametrize("seed", [1.5, 3.0, True, np.int64(3), "3"])
     def test_rejects_non_integer_seed(self, seed):
@@ -510,10 +595,10 @@ class TestFrameSplit:
         # Only bad_frame overflows; the serial path raises only if it reaches it.
         real = decoder._frame_wrong_bits
 
-        def one_bad_frame(cols, gather, channel, max_iter, frame):
-            if frame == bad_frame:
+        def one_bad_frame(*args):
+            if args[-1] == bad_frame:
                 return _NOT_FINITE
-            return real(cols, gather, channel, max_iter, frame)
+            return real(*args)
 
         channel = ChannelParams(2.0, 0.5, 0)
         with pytest.MonkeyPatch.context() as mp:
@@ -528,10 +613,10 @@ class TestFrameSplit:
         # decodes the frames whose counts never arrive.
         parent, real = os.getpid(), decoder._frame_wrong_bits
 
-        def mortal(cols, gather, channel, max_iter, frame):
-            if frame == doomed_frame and os.getpid() != parent:
+        def mortal(*args):
+            if args[-1] == doomed_frame and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(cols, gather, channel, max_iter, frame)
+            return real(*args)
 
         channel = ChannelParams(2.0, 0.5, 3)
         serial = _on_workers(1, 50, 30, channel)
@@ -563,10 +648,10 @@ class TestFrameSplit:
         # frames to go, and only a SIGKILL ends it that soon.
         real_frame, real_waitpid, statuses = decoder._frame_wrong_bits, os.waitpid, []
 
-        def stopping(cols, gather, channel, max_iter, frame):
-            if frame == bad_frame:
+        def stopping(*args):
+            if args[-1] == bad_frame:
                 return _NOT_FINITE
-            return real_frame(cols, gather, channel, max_iter, frame)
+            return real_frame(*args)
 
         def recording(pid, options):
             statuses.append(real_waitpid(pid, options)[1])
