@@ -18,6 +18,8 @@ def gf2_rank(matrix: SparseBinaryMatrix) -> int:
     distinct columns get bits, numbered downward from d - 1 in the order a
     row-major sweep first meets them (a column permutation keeps the rank),
     so the table is a list of d + 1 slots and every allocation is O(nnz).
+    A presence map finds the distinct columns when there are no more columns
+    than ones, as in a QC expansion; a sort of the ones does otherwise.
     A canonical QC expansion starts [I I ... I], so the bitsets stay banded:
     on the shipped (3,6) seed the row XORs drop from 131,138 to 8,820 at
     P = 449 and from 364,806 to 10,596 at P = 745.  Random non-canonical
@@ -30,8 +32,12 @@ def gf2_rank(matrix: SparseBinaryMatrix) -> int:
             f"rank computation refused: {total_bits} bits exceeds the "
             f"{MAX_RANK_BITS}-bit budget"
         )
-    distinct, column = np.unique(matrix.indices, return_inverse=True)
-    d, nnz = distinct.size, column.size
+    if matrix.n_cols <= matrix.indices.size:  # ids in ascending column order, as from the sort
+        present = np.bincount(matrix.indices, minlength=matrix.n_cols) > 0
+        column = np.cumsum(present)[matrix.indices] - 1
+    else:
+        column = np.unique(matrix.indices, return_inverse=True)[1]
+    d, nnz = int(column.max(initial=-1)) + 1, column.size
     first = np.empty(d, np.int64)
     first[column[::-1]] = np.arange(nnz - 1, -1, -1)  # the last write, the first meet, stays
     met = np.zeros(nnz, bool)

@@ -26,6 +26,8 @@ is no larger than its image under each symmetry that fixes row_seq, so the
 tables are built from the canonical row sequences alone (:func:`_cycle_table`).
 A table indexes a candidate by its row sequence and the two halves of its
 column sequence, so its sum meets in the middle: front-half plus back-half sum.
+Candidates come in order, so front halves are read by repeat; sums stay in the
+narrowest of int16, int32 and int64 holding k times the largest entry.
 
 The oracle path expands the matrix, builds the bipartite Tanner graph and
 computes the exact girth by BFS.  The fast path never calls it, so it is an
@@ -210,6 +212,13 @@ def _cycle_table(j: int, l: int, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return pairs, table[0], table[1]
 
 
+@lru_cache(maxsize=None)
+def _front_counts(j: int, l: int, k: int) -> np.ndarray:
+    """Candidates per front cell of the 2k-cycle table, whose front never decreases."""
+    pairs, front, _ = _cycle_table(j, l, k)
+    return np.bincount(front, minlength=len(pairs) * l ** ((k + 1) // 2))
+
+
 def _sequence_count(j: int, l: int, k: int) -> int:
     return _alternating_count(j, k) * _alternating_count(l, k)
 
@@ -220,10 +229,12 @@ def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
     One value per candidate of the cached cycle table, met in the middle: the
     (n_r, k, L) column differences of the row sequences are summed over every
     front-half and back-half column code into two grids, and a candidate adds
-    one cell of each.  A candidate closes at size P exactly when P divides its
-    sum (Fossorier, IEEE Trans. IT, 2004).  Entries are at most MAX_VALUE, so
-    no sum overflows int64.  Raises BudgetError past SEQUENCE_BUDGET (use the
-    BFS oracle instead).
+    one cell of each, the front cell by repeat.  A candidate closes at size P
+    exactly when P divides its sum (Fossorier, IEEE Trans. IT, 2004).  The sums
+    are in the narrowest of int16, int32 and int64 whose maximum exceeds
+    k * max entry, a bound on |sum| (MAX_VALUE keeps int64 exact); widen them
+    before mixing in a Python int past that maximum.  Raises BudgetError past
+    SEQUENCE_BUDGET (use the BFS oracle instead).
     """
     if length not in SUPPORTED_CYCLE_LENGTHS:
         raise ValueError(f"cycle length must be one of {SUPPORTED_CYCLE_LENGTHS}")
@@ -234,19 +245,23 @@ def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
             f"{raw} candidate sequences for length {length} exceed the budget of "
             f"{SEQUENCE_BUDGET}; use the BFS oracle"
         )
+    dtype = next(t for t in (np.int16, np.int32, np.int64)
+                 if k * matrix.max_entry < np.iinfo(t).max)
     table = _cycle_table(matrix.rows, matrix.cols, k)
     if table is None:
-        return np.zeros(0, dtype=np.int64)
-    pairs, front, back = table
+        return np.zeros(0, dtype=dtype)
+    pairs, _, back = table
     entries = np.asarray(matrix.entries, dtype=np.int64)
-    terms = (entries[:, None, :] - entries[None, :, :]).reshape(-1, matrix.cols)[pairs]
+    terms = (entries[:, None] - entries[None]).reshape(-1, matrix.cols)[pairs].astype(dtype)
     grids = []
-    for half in np.split(terms, [(k + 1) // 2], axis=1):
-        grid = half[:, 0]
-        for term in half.transpose(1, 0, 2)[1:]:
-            grid = (grid[:, :, None] + term[:, None, :]).reshape(len(pairs), -1)
+    for lo, hi in ((0, (k + 1) // 2), ((k + 1) // 2, k)):
+        grid = terms[:, lo]
+        for i in range(lo + 1, hi):
+            grid = (grid[:, :, None] + terms[:, i, None, :]).reshape(len(pairs), -1)
         grids.append(grid.ravel())
-    return grids[0][front] + grids[1][back]
+    sums = np.repeat(grids[0], _front_counts(matrix.rows, matrix.cols, k))
+    sums += grids[1][back]
+    return sums
 
 
 def find_cycle(matrix: ExponentMatrix, p: int, length: int) -> CycleWitness | None:
@@ -282,7 +297,8 @@ class CycleSpectrum:
         return self._sums[length]
 
     def _closing(self, p: int, length: int) -> np.ndarray:
-        """Table indices, in order, of the candidates of *length* closing at *p*."""
+        """Table indices, in order, of the candidates of *length* closing at *p*:
+        only multiples of p up to max|S| meet the sums, so each fits their dtype."""
         sums, lo, hi = self._scan(length)
         first = -(-lo // p) * p  # the smallest multiple of p that is >= min|S|
         if first > hi:

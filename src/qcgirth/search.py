@@ -51,7 +51,8 @@ def _child_grid(parent: ExponentMatrix, q: int, a: np.ndarray, b: np.ndarray):
     (0,0,0), (0,1,0) and (0,0,1); one numpy pass per (α, β) group follows.
     """
     c, alpha, beta = (
-        np.concatenate([exponent_sums(_extended(parent, *col), n) for n in SHORT_CYCLE_LENGTHS])
+        np.concatenate([exponent_sums(_extended(parent, *col), n) for n in SHORT_CYCLE_LENGTHS],
+                       dtype=np.int64)  # reduced by a Python-int q below
         for col in ((0, 0), (1, 0), (0, 1))
     )
     alpha, beta = alpha - c, beta - c

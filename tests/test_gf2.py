@@ -145,3 +145,17 @@ def test_irregular_rank_matches_dense_elimination(m):
     assert gf2_rank(m) == _dense_rank(m)
     reversed_rows = SparseBinaryMatrix.from_rows(m.n_rows, m.n_cols, m.row_supports[::-1])
     assert gf2_rank(reversed_rows) == gf2_rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=irregular_rows(), copies=st.integers(1, 3), gap=st.integers(0, 3))
+@example(rows=(2, 3, ((0, 1, 2), (1, 2))), copies=3, gap=1)  # 15 ones, 12 columns
+@example(rows=(1, 3, ((0, 2),)), copies=1, gap=3)  # 2 ones, 12 columns
+def test_rank_ignores_empty_and_repeated_columns(rows, copies, gap):
+    # column c becomes `copies` equal columns and then `gap` empty ones, on
+    # both sides of the presence map (n_cols <= nnz) and the sort
+    n_rows, n_cols, supports = rows
+    stride = copies + gap
+    spread = tuple(tuple(c * stride + t for c in s for t in range(copies)) for s in supports)
+    m = SparseBinaryMatrix.from_rows(n_rows, n_cols * stride, spread)
+    assert gf2_rank(m) == _dense_rank(SparseBinaryMatrix.from_rows(*rows))

@@ -29,11 +29,19 @@ from qcgirth.girth import (
     _alternating_count,
     _alternating_sequences,
     _cycle_table,
+    _front_counts,
     _sequence_count,
 )
 from qcgirth.matrices import MAX_VALUE
 
 from conftest import random_canonical_matrix
+
+# The shipped (3,10) seed, certified at Q = 2810.
+SEED_3X10 = ExponentMatrix.from_rows([
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, 7, 28, 75, 101, 296, 376, 505, 1004],
+    [0, 3, 19, 64, 170, 256, 556, 822, 1168, 2209],
+])
 
 # 3 x 40: 2.7e9 candidate 10-cycles, far past the sequence budget.
 WIDE = ExponentMatrix.from_rows([[0] * 40, list(range(40)), list(range(0, 80, 2))])
@@ -105,7 +113,7 @@ def _reference_find_cycle(matrix, p, length):
     """find_cycle as one uncached scan per call: the first hit in table order."""
     if not 2 <= p <= MAX_VALUE:
         raise ValueError("modulus out of range")
-    hits = np.flatnonzero(exponent_sums(matrix, length) % p == 0)
+    hits = np.flatnonzero(exponent_sums(matrix, length).astype(np.int64) % p == 0)
     if hits.size == 0:
         return None
     terms = [int(t) for t in _decoded_table(matrix.rows, matrix.cols, length // 2, hits[:1])[:, 0]]
@@ -495,6 +503,22 @@ class TestEnumerationStructure:
         assert front.dtype == back.dtype == np.intp
         assert pairs.size + front.size + back.size == 2 * 177_120 + 15
 
+    def test_front_never_decreases_and_its_counts_cover_the_table(self):
+        # exponent_sums reads the front grid by np.repeat over these counts
+        for j, l, k in [
+            (j, l, k)
+            for j in range(1, 8)
+            for l in range(1, 8)
+            for k in range(2, 7)
+            if _sequence_count(j, l, k) <= SEQUENCE_BUDGET
+        ] + [(3, 10, 5)]:
+            table = _cycle_table(j, l, k)
+            if table is None:
+                continue
+            _, front, _ = table
+            assert (np.diff(front) >= 0).all(), (j, l, k)
+            assert _front_counts(j, l, k).sum() == front.size, (j, l, k)
+
     @pytest.mark.parametrize("l", range(2, 13))
     def test_half_grids_stay_small(self, l):
         # the half grids, n_r * L^h and n_r * L^(k-h) cells, hold at most
@@ -570,6 +594,78 @@ class TestExponentSums:
     def test_budget_error(self):
         with pytest.raises(BudgetError, match="oracle"):
             exponent_sums(WIDE, 10)
+
+    def test_shipped_3x10_length_10_sums_are_int16(self):
+        spectrum = CycleSpectrum(SEED_3X10)
+        sums, _, hi = spectrum._scan(10)
+        assert sums.dtype == np.int16 and hi == 4417  # min_P = 4419 comes from length 8
+        assert sums.nbytes == 354_240  # 177,120 candidates, 2 bytes each
+
+
+def _int64_sums(matrix, length):
+    """Sums of the decoded (k, n) term table, gathered and added in int64."""
+    terms = _decoded_table(matrix.rows, matrix.cols, length // 2)
+    if terms is None:
+        return np.zeros(0, dtype=np.int64)
+    entries = np.asarray(matrix.entries, dtype=np.int64)
+    return (entries[:, None, :] - entries[None, :, :]).ravel()[terms].sum(axis=0)
+
+
+def _edge(k, which):
+    """The largest entry for int16 / int32 sums of k terms, one past it, or MAX_VALUE."""
+    return ((2 ** 15 - 2) // k, (2 ** 15 - 2) // k + 1,
+            (2 ** 31 - 2) // k, (2 ** 31 - 2) // k + 1, MAX_VALUE)[which]
+
+
+@st.composite
+def _edge_matrices(draw):
+    """(matrix, length): 2..3 x 2..4, max entry at a dtype edge of that length,
+    sometimes with a repeated column (zero sums)."""
+    length = draw(st.sampled_from([4, 6, 8, 10, 12]))
+    top = _edge(length // 2, draw(st.integers(0, 4)))
+    rows = [list(row) for row in draw(
+        _matrices(st.integers(2, 3), st.integers(2, 4), st.integers(0, top))).entries]
+    rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(rows[0]) - 1))] = top
+    if draw(st.booleans()):
+        c = draw(st.integers(1, len(rows[0]) - 1))
+        for row in rows:
+            row[c] = row[c - 1]
+    return ExponentMatrix.from_rows(rows), length
+
+
+class TestNarrowSums:
+    """Sums in the narrowest exact dtype against int64 and Python integers."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=_edge_matrices())
+    def test_dtype_edges_match_int64_and_python_integers(self, case):
+        m, length = case
+        k = length // 2
+        sums = exponent_sums(m, length)
+        assert sums.dtype == next(t for t in (np.int16, np.int32, np.int64)
+                                  if np.iinfo(t).max > k * m.max_entry)
+        np.testing.assert_array_equal(sums.astype(np.int64), _int64_sums(m, length))
+        for i, total in enumerate(sums.tolist()):
+            witness = CycleWitness(length, *_candidate(m.rows, m.cols, k, i), 2)
+            assert witness.exponent_sum(m) == total
+        wide = {n: _int64_sums(m, n) for n in (4, 6, 8, 10, 12)}
+        tops = [int(np.abs(s).max()) for s in wide.values() if s.size]
+        spectrum = CycleSpectrum(m)
+        for p in {*range(2, 61), *tops, *(t + 1 for t in tops), 40_000, 2 ** 31 + 1, MAX_VALUE}:
+            if not 2 <= p <= MAX_VALUE:
+                continue
+            hits = {n: np.flatnonzero(s % p == 0) for n, s in wide.items()}
+            assert spectrum.shortest_cycle(p) == next(
+                (n for n in (4, 6, 8, 10) if hits[n].size), None), p
+            for n, hit in hits.items():
+                expected = (CycleWitness(n, *_candidate(m.rows, m.cols, n // 2, int(hit[0])), p)
+                            if hit.size else None)
+                assert spectrum.witness(p, n) == expected, (p, n)
+        short = [np.abs(wide[n]) for n in (4, 6, 8, 10)]
+        closes_12 = min(m.rows, m.cols) >= 2 and max(m.rows, m.cols) >= 3
+        zero = any((s == 0).any() for s in short)
+        top = max(int(s.max(initial=0)) for s in short)
+        assert spectrum.bound() == (top + 1 if closes_12 and not zero else None)
 
 
 def _matrices(rows, cols, entries):
@@ -669,7 +765,7 @@ class TestMeetInTheMiddle:
 def _reference_shortest_cycle(matrix, p):
     """Shortest length through 10 closing at *p*, else 0: one uncached scan per length."""
     for length in (4, 6, 8, 10):
-        if (exponent_sums(matrix, length) % p == 0).any():
+        if (exponent_sums(matrix, length).astype(np.int64) % p == 0).any():
             return length
     return 0
 

@@ -17,6 +17,7 @@ from qcgirth import (
     girth_oracle,
 )
 from qcgirth.cli import run
+from qcgirth.girth import exponent_sums
 from qcgirth.search import _child_grid, _extended
 
 
@@ -69,6 +70,17 @@ class TestChildGrid:
         for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
             assert feasible[i] == (girth_oracle(_extended(root, ai, bi), q) >= 12)
         assert feasible.any() and not feasible.all()
+
+    def test_sums_are_widened_for_a_q_past_int16(self, ref_seed, monkeypatch):
+        # the (3,4) prefix's children sum in int16, and q = 40,000 does not fit it
+        parent = ExponentMatrix.from_rows([row[:4] for row in ref_seed.entries])
+        assert exponent_sums(_extended(parent, 1, 0), 10).dtype == np.int16
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(0, 400, 7), np.arange(108, 700, 9)))
+        narrow = _child_grid(parent, 40_000, a, b)
+        monkeypatch.setattr("qcgirth.search.exponent_sums",
+                            lambda m, n: exponent_sums(m, n).astype(np.int64))
+        for got, expected in zip(narrow, _child_grid(parent, 40_000, a, b)):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestFindCertifiedSeed:
