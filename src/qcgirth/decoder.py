@@ -235,12 +235,6 @@ class _Workspace:
         return DecodeResult(np.less(total, 0.0, out=self.flags).astype(np.uint8), False, max_iter)
 
 
-def _sp_decode(
-    cols: np.ndarray, gather: np.ndarray, llr: np.ndarray, max_iter: int
-) -> DecodeResult:
-    return _Workspace(cols, gather).decode(llr, max_iter)
-
-
 def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
     """Flooding sum-product decode of one LLR vector (positive favors 0).
 
@@ -260,7 +254,7 @@ def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
         )
     if not np.isfinite(values).all():
         raise ValueError("LLR input must be finite")
-    return _sp_decode(*matrix.layout, values, max_iter)
+    return _Workspace(*matrix.layout).decode(values, max_iter)
 
 
 def _frame_wrong_bits(ws: _Workspace, channel: ChannelParams, max_iter: int, frame: int) -> int:

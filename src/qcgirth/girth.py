@@ -55,7 +55,6 @@ GRAPH_BFS = "GRAPH_BFS"
 SUPPORTED_CYCLE_LENGTHS = (4, 6, 8, 10, 12)
 SHORT_CYCLE_LENGTHS = (4, 6, 8, 10)
 SEQUENCE_BUDGET = 5_000_000  # candidate sequences per enumerated length
-ORACLE_EDGE_BUDGET = 100_000  # edges of the expanded Tanner graph
 _NO_HITS = np.zeros(0, dtype=np.intp)
 
 
@@ -370,30 +369,26 @@ def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
 def girth_oracle(matrix: ExponentMatrix, p: int) -> int | None:
     """Exact girth of the expanded Tanner graph by breadth-first search.
 
-    Every cycle of the bipartite graph (check nodes = rows, variable nodes
-    = columns) passes through a check node; shifting every block cyclically
-    maps the graph onto itself, so one BFS root per block-row realizes the
-    minimum over all vertices.  Each BFS is level-synchronous over the
-    :func:`qc_layout` arrays: a level gathers its frontier's neighbours and
-    drops each edge back to a parent.  The first level at depth d that
-    reaches a vertex twice closes a (2d + 2)-cycle.  A root stops there or
+    A variable (column) meets one check (row) in each block row, so every
+    cycle crosses at least two block rows.  Shifting every block cyclically
+    maps the graph onto itself, so one BFS root in each of block rows
+    0..J - 2 realizes the minimum over all vertices; one block row has no
+    root and is acyclic.  Each BFS is level-synchronous over the
+    :func:`qc_layout` arrays, which raise BudgetError past their edge budget:
+    a level gathers its frontier's neighbours and drops each edge back to a
+    parent.  The first level at depth d that reaches a vertex twice closes a
+    (2d + 2)-cycle, so a girth g costs g / 2 levels.  A root stops there or
     once 2d + 2 >= the best so far, and the roots stop at girth 4, the least
     a simple bipartite graph has.  Returns None for acyclic graphs.
     """
     check_size(p, "modulus")
-    n_edges = matrix.rows * matrix.cols * p
-    if n_edges > ORACLE_EDGE_BUDGET:
-        raise BudgetError(
-            f"expanded graph has {n_edges} edges, over the oracle budget of "
-            f"{ORACLE_EDGE_BUDGET}"
-        )
     cols, gather = qc_layout(QcCode(matrix, p))
     # Even levels hold checks and odd levels variables, each side by its own
     # index: check c meets the variables nbrs[0][c], variable v the checks nbrs[1][v].
     nbrs = (cols.T, gather.T % cols.shape[1])
     slots = [np.empty(len(side), dtype=np.intp) for side in nbrs]  # read only where just written
     best = None
-    for root in range(0, cols.shape[1], p):
+    for root in range(0, cols.shape[1] - p, p):
         frontier, parent, depth = np.array([root]), np.array([-1]), 0
         while frontier.size and (best is None or 2 * depth + 2 < best):
             reach = nbrs[depth % 2][frontier]

@@ -193,10 +193,6 @@ class SparseBinaryMatrix:
         flat, bounds = self.indices.tolist(), self.indptr.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    @property
-    def ones_count(self) -> int:
-        return self.indices.size
-
     @cached_property
     def layout(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (cols, gather), built once per instance.

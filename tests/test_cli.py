@@ -127,11 +127,12 @@ class TestGirth:
         assert report == {"girth": 12, "method": "GRAPH_BFS", "witness": None}
 
     def test_oracle_budget_exit(self, seed_path):
-        outcome = run(["girth", "--matrix", seed_path, "--p", "99991", "--oracle"])
+        # 3 * 6 * 277778 = 5,000,004 edges, past the layout budget
+        outcome = run(["girth", "--matrix", seed_path, "--p", "277778", "--oracle"])
         assert outcome.exit_code == 3
 
     def test_two_row_girth_past_the_oracle_budget(self, tmp_path):
-        # 2 * 3 * 20011 edges are over the oracle budget; the girth-12 rule answers
+        # 2 * 3 * 20011 edges; the girth-12 rule answers without expanding
         path = tmp_path / "two_rows.json"
         path.write_text(json.dumps({"rows": 2, "cols": 3, "entries": [[0, 0, 0], [0, 1, 3]]}))
         outcome = run(["girth", "--matrix", str(path), "--p", "20011"])
@@ -140,15 +141,18 @@ class TestGirth:
             "girth": 12, "method": "EXPONENT_CHECK", "witness": None}
 
     def test_three_by_two_past_oracle_budget_is_girth_12(self, tmp_path):
-        # 3 * 2 * 20000 edges is over the oracle budget; 3 x 2 shapes used to
-        # defer to the oracle and exit 3, while extend answered 12
+        # 3 * 2 * 833334 edges are past the layout budget; below it the girth-12
+        # rule and the oracle both read 12
         path = tmp_path / "narrow.json"
         path.write_text(json.dumps({"rows": 3, "cols": 2, "entries": [[0, 0], [0, 1], [0, 3]]}))
-        assert run(["girth", "--matrix", str(path), "--p", "20000", "--oracle"]).exit_code == 3
+        assert run(["girth", "--matrix", str(path), "--p", "833334", "--oracle"]).exit_code == 3
         outcome = run(["girth", "--matrix", str(path), "--p", "20000"])
         assert outcome.exit_code == 0
         report = json.loads(outcome.stdout_payload)
         assert report == {"girth": 12, "method": "EXPONENT_CHECK", "witness": None}
+        oracle = run(["girth", "--matrix", str(path), "--p", "20000", "--oracle"])
+        assert oracle.exit_code == 0
+        assert json.loads(oracle.stdout_payload)["girth"] == 12
         oracle = run(["girth", "--matrix", str(path), "--p", "101", "--oracle"])
         assert json.loads(oracle.stdout_payload)["girth"] == 12
 

@@ -30,7 +30,7 @@ from qcgirth.decoder import (
     _NOT_FINITE,
     LLR_CLAMP,
     DecodeResult,
-    _sp_decode,
+    _Workspace,
     _sum_in_order,
 )
 from qcgirth.matrices import qc_layout
@@ -292,7 +292,7 @@ class TestAgainstReference:
         want = _reference_decode(h, llr, max_iter)
         assert _same(decode_sp(h, llr, max_iter), want)
         # monte_carlo's layout, built from the exponents, decodes the same
-        assert _same(_sp_decode(*qc_layout(code), llr, max_iter), want)
+        assert _same(_Workspace(*qc_layout(code)).decode(llr, max_iter), want)
 
     @settings(max_examples=150, deadline=None)
     @given(

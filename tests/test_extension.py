@@ -20,7 +20,7 @@ from qcgirth import (
 )
 from qcgirth.cli import run
 from qcgirth.extension import MAX_FAMILY_MEMBERS, _row_extremes, family_columns
-from qcgirth.girth import ORACLE_EDGE_BUDGET
+from qcgirth.matrices import MAX_LAYOUT_EDGES
 
 from conftest import REFERENCE_SEED, REPO_ROOT
 
@@ -342,7 +342,7 @@ class TestExactBound:
         assume(q is not None)  # some exponent sum is zero
         report = check_seed_conditions(seed, q)
         assert report.all_pass
-        assume(seed.rows * seed.cols * report.min_p <= ORACLE_EDGE_BUDGET)
+        assume(seed.rows * seed.cols * report.min_p <= MAX_LAYOUT_EDGES)
         assert girth_oracle(seed, report.min_p) == 12
         assert girth_oracle(seed, report.min_p - 1) < 12
         spectrum = CycleSpectrum(seed)

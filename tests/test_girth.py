@@ -23,6 +23,7 @@ from qcgirth import (
     find_cycle,
     girth_fast,
     girth_oracle,
+    load_matrix,
 )
 from qcgirth.girth import (
     SEQUENCE_BUDGET,
@@ -34,7 +35,7 @@ from qcgirth.girth import (
 )
 from qcgirth.matrices import MAX_VALUE
 
-from conftest import random_canonical_matrix
+from conftest import REPO_ROOT, random_canonical_matrix
 
 # The shipped (3,10) seed, certified at Q = 2810.
 SEED_3X10 = ExponentMatrix.from_rows([
@@ -291,10 +292,10 @@ class TestGirthFast:
         m = ExponentMatrix.from_rows([[0, 0], [0, 1]])
         assert girth_fast(m, 5) == GirthReport(20, EXPONENT_CHECK, None)
         assert girth_oracle(m, 5) == 20
-        # past the oracle's edge budget, where only the closed form answers
-        assert girth_fast(m, 30011) == GirthReport(120044, EXPONENT_CHECK, None)
+        # past the layout budget, where only the closed form answers
+        assert girth_fast(m, 1250001) == GirthReport(5000004, EXPONENT_CHECK, None)
         with pytest.raises(BudgetError):
-            girth_oracle(m, 30011)
+            girth_oracle(m, 1250001)
 
     def test_never_calls_the_oracle(self, monkeypatch):
         def refuse(*_):
@@ -375,18 +376,33 @@ class TestGirthOracle:
         assert girth_oracle(m, 5) is None
 
     def test_budget_error(self, ref_seed):
-        # 3 * 6 * 6000 = 108,000 edges, over the 100,000-edge budget
-        with pytest.raises(BudgetError, match="100000"):
-            girth_oracle(ref_seed, 6000)
+        # 3 * 6 * 277778 = 5,000,004 edges, over the 5,000,000-edge layout budget
+        with pytest.raises(BudgetError, match="5000000"):
+            girth_oracle(ref_seed, 277778)
 
 
 class TestAgreement:
     def test_block_row_roots_equal_every_root(self):
+        # the only 4-cycle of each fixed matrix crosses block rows 1 and 2, then 0 and 2
+        fixed = [[[0, 0, 0], [0, 1, 2], [0, 1, 5]], [[0, 0, 0], [0, 1, 3], [0, 0, 5]]]
+        cases = [(ExponentMatrix.from_rows(rows), p) for rows in fixed for p in (7, 11, 29)]
         rng = random.Random(2024)
         for _ in range(300):
             j, l, p = rng.randint(1, 4), rng.randint(1, 6), rng.randint(2, 40)
-            m = random_canonical_matrix(rng, j, l, p)
+            cases.append((random_canonical_matrix(rng, j, l, p), p))
+        for m, p in cases:
             assert girth_oracle(m, p) == _girth_every_root(m, p), (m, p)
+
+    @pytest.mark.parametrize("path, min_p, members", [
+        ("fixtures/seed_3x6.json", 449, 500),
+        ("bench/inputs/seed_3x10.json", 4419, 100),
+    ])
+    def test_oracle_reads_12_over_a_whole_window(self, path, min_p, members):
+        # every member BFSed, not a sample; an 8-cycle closes at min_P - 1
+        seed = load_matrix(REPO_ROOT / path)
+        window = range(min_p, min_p + members)
+        assert [p for p in window if girth_oracle(seed, p) != 12] == []
+        assert girth_oracle(seed, min_p - 1) == 8
 
     def test_fast_equals_oracle_on_random_matrices(self):
         # girth_fast never defers to the oracle, so every draw compares two

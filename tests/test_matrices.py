@@ -182,7 +182,7 @@ class TestSparseBinaryMatrix:
 
     def test_empty_rows_allowed(self):
         m = SparseBinaryMatrix.from_rows(2, 2, ((0,), ()))
-        assert m.ones_count == 1
+        assert m.indices.size == 1
 
     def test_column_supports(self):
         m = SparseBinaryMatrix.from_rows(3, 3, ((0, 2), (1,), (0,)))
@@ -242,7 +242,7 @@ class TestSparseBinaryMatrix:
         assert by_rows == by_arrays and hash(by_rows) == hash(by_arrays)
         assert by_rows.row_supports == by_arrays.row_supports == supports
         assert all(type(c) is int for s in by_arrays.row_supports for c in s)
-        assert by_arrays.ones_count == len(flat)
+        assert by_arrays.indices.size == len(flat)
         assert by_arrays != SparseBinaryMatrix(n_rows, n_cols + 1, indptr, flat)
 
     @settings(max_examples=150, deadline=None)
@@ -305,7 +305,7 @@ class TestExpand:
     def test_reference_seed_counts(self, ref_seed):
         h = expand(QcCode(ref_seed, 393))
         assert (h.n_rows, h.n_cols) == (1179, 2358)
-        assert h.ones_count == 7074
+        assert h.indices.size == 7074
         assert all(len(s) == 6 for s in h.row_supports)
         assert all(len(s) == 3 for s in h.column_supports())
 
@@ -325,7 +325,7 @@ class TestExpand:
             h = expand(QcCode(m, p))
             assert all(len(s) == l for s in h.row_supports)
             assert all(len(s) == j for s in h.column_supports())
-            assert h.ones_count == j * l * p
+            assert h.indices.size == j * l * p
 
 
 class TestMatrixJson:
