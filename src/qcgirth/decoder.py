@@ -167,7 +167,8 @@ class _Workspace:
 
     Allocated once and reused frame after frame, so that no iteration
     allocates.  On wide codes glibc hands freed edge-sized temporaries back
-    to the OS, and the first writes to the next ones page-fault.
+    to the OS, and the first writes to the next ones page-fault.  ``t`` is
+    ``v2c``: nothing reads v2c between tanh(v2c / 2) and the take rewriting it.
     """
 
     def __init__(self, cols: np.ndarray, gather: np.ndarray):
@@ -178,7 +179,8 @@ class _Workspace:
         # total[n] belongs to the padding column: +inf is never a negative bit.
         self.total = np.empty(n + 1)
         self.total[n] = np.inf
-        self.v2c, self.t, self.prod = (np.empty(cols.shape) for _ in range(3))
+        self.prod = np.empty(cols.shape)
+        self.v2c = self.t = np.empty(cols.shape)
         # The slot after the last edge pads short columns: it stays 0.0.
         self.c2v_slots = np.empty(cols.size + 1)
         self.c2v_slots[-1] = 0.0

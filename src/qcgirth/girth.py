@@ -26,8 +26,10 @@ is no larger than its image under each symmetry that fixes row_seq, so the
 tables are built from the canonical row sequences alone (:func:`_cycle_table`).
 A table indexes a candidate by its row sequence and the two halves of its
 column sequence, so its sum meets in the middle: front-half plus back-half sum.
-Candidates come in order, so front halves are read by repeat; sums stay in the
-narrowest of int16, int32 and int64 holding k times the largest entry.
+Candidates come in order, so a table keeps each one's back half but only a
+count per front half, read by repeat (a witness searches the running counts).
+Sums stay in the narrowest of int16, int32 and int64 holding k times the
+largest entry.
 
 The oracle path expands the matrix, builds the bipartite Tanner graph and
 computes the exact girth by BFS.  The fast path never calls it, so it is an
@@ -47,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .matrices import ExponentMatrix, QcCode, check_size, qc_layout
+from .matrices import ExponentMatrix, QcCode, check_layout, check_size, qc_layout
 
 EXPONENT_CHECK = "EXPONENT_CHECK"
 GRAPH_BFS = "GRAPH_BFS"
@@ -146,8 +148,8 @@ def _alternating_count(symbols: int, k: int) -> int:
 
 
 def _alternating_sequences(symbols: int, k: int) -> np.ndarray:
-    """All cyclic adjacent-distinct sequences, one per row, in lexicographic order."""
-    symbol = np.arange(symbols, dtype=np.int64)
+    """All cyclic adjacent-distinct sequences, one per narrow-uint row, in lexicographic order."""
+    symbol = np.arange(symbols, dtype=np.min_scalar_type(max(symbols - 1, 0)))
     seqs = symbol[:, None]
     for _ in range(k - 1):
         # Each sequence, in order, gains each symbol in ascending order.
@@ -156,22 +158,34 @@ def _alternating_sequences(symbols: int, k: int) -> np.ndarray:
     return seqs[seqs[:, -1] != seqs[:, 0]]
 
 
+def _sequence_keys(seqs: np.ndarray, order: list[int], base: int) -> np.ndarray:
+    """int64 keys ordering the sequences seqs[:, order] lexicographically (Horner's rule)."""
+    key = seqs[:, order[0]].astype(np.int64)
+    for i in order[1:]:
+        key *= base
+        key += seqs[:, i]
+    return key
+
+
 @lru_cache(maxsize=None)
 def _cycle_table(j: int, l: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Enumeration table for 2k-cycles of a J x L exponent matrix, split in halves.
 
     Candidates are the canonical (row_seq, col_seq) pairs in that order.
-    Returns (pairs, front, back).  pairs is (n_r, k): the codes
+    Returns (pairs, counts, back).  pairs is (n_r, k): the codes
     r_i * J + r_{i+1} of each canonical row sequence, so term i of a
     candidate is E[r_i][c_i] - E[r_{i+1}][c_i], at row pair pairs[., i].
-    front and back are (n,), one entry per candidate: row_seq_id * L^h plus
-    the base-L code of c_0..c_{h-1}, with h = ceil(k / 2), and
-    row_seq_id * L^(k-h) plus the code of c_h..c_{k-1}.  No (k, n) table of
-    terms is formed.  Returns None when no valid sequence exists (fewer than
-    two rows or columns, or odd k with fewer than three of either).
+    A candidate's front cell is row_seq_id * L^h plus the base-L code of
+    c_0..c_{h-1}, with h = ceil(k / 2), and its back cell row_seq_id *
+    L^(k-h) plus the code of c_h..c_{k-1}.  back (n,) holds each candidate's
+    back cell.  Front cells never decrease along the table, so counts
+    (n_r * L^h,) holds the candidates per front cell, and candidate i lies in
+    the first cell whose running count exceeds i.  No (k, n) table of terms
+    is formed.  Returns None when no valid sequence exists (fewer than two
+    rows or columns, or odd k with fewer than three of either).
     """
     rows = _alternating_sequences(j, k)
-    cols = _alternating_sequences(l, k).T.copy()
+    cols = _alternating_sequences(l, k)
     if not rows.size or not cols.size:
         return None
     # (row, column) index maps of the k rotations, identity first, and of the
@@ -181,41 +195,36 @@ def _cycle_table(j: int, l: int, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
         ([(t - i) % k for i in range(k)], [(t - 1 - i) % k for i in range(k)])
         for t in range(k)
     ]
-    # Keys ordering sequences lexicographically; row sequences with a smaller
-    # image are skipped in one mask.
-    place = np.arange(k - 1, -1, -1)
-    row_keys = np.stack([rows[:, ridx] @ j**place for ridx, _ in symmetries])
-    canonical = (row_keys >= row_keys[0]).all(axis=0)
+    # Keys ordering sequences lexicographically, one symmetry at a time; row
+    # sequences with a smaller image are skipped in one mask.  Bit 2k - 1 - t
+    # of fixing says whether symmetry t fixes the row sequence, so the codes
+    # sort as rows of those bits, identity first, would.
+    row_key = _sequence_keys(rows, shifts[0], j)
+    canonical = np.ones(len(rows), dtype=bool)
+    fixing = np.ones(len(rows), dtype=np.uint16)  # the identity's bit
+    for ridx, _ in symmetries[1:]:
+        key = _sequence_keys(rows, ridx, j)
+        canonical &= key >= row_key
+        fixing <<= 1
+        fixing |= key == row_key
+        del key  # at most two (n,) keys live at once
+    rows = rows[canonical].astype(np.intp)
+    stabilizers, group = np.unique(fixing[canonical], return_inverse=True)
     # The symmetries fixing a row sequence (identity included) decide which
     # column sequences it keeps: those no larger than each of their images.
-    fixing = (row_keys[:, canonical] == row_keys[0, canonical]).T
-    stabilizers, group = np.unique(fixing, axis=0, return_inverse=True)
-    col_keys = {
-        t: l**place @ cols[symmetries[t][1]] for t in np.flatnonzero(stabilizers.any(axis=0))
-    }
-    kept = [
-        np.flatnonzero(np.all([col_keys[0] <= col_keys[t] for t in np.flatnonzero(s)], axis=0))
-        for s in stabilizers
-    ]
-    # Row sequence i indexes its kept column sequences by i * L^h plus their
-    # front codes and by i * L^(k-h) plus their back codes, held in halves[g].
-    widths = np.array([[l ** ((k + 1) // 2)], [l ** (k // 2)]])
-    halves = [np.stack(np.divmod(col_keys[0][s], widths[1, 0])) for s in kept]
-    group = group.ravel().tolist()
-    table = np.empty((2, sum(kept[g].size for g in group)), dtype=np.intp)
-    at = 0
-    for i, g in enumerate(group):
-        np.add(halves[g], i * widths, out=table[:, at : at + kept[g].size])
-        at += kept[g].size
-    pairs = (rows * j + np.roll(rows, -1, axis=1))[canonical]
-    return pairs, table[0], table[1]
-
-
-@lru_cache(maxsize=None)
-def _front_counts(j: int, l: int, k: int) -> np.ndarray:
-    """Candidates per front cell of the 2k-cycle table, whose front never decreases."""
-    pairs, front, _ = _cycle_table(j, l, k)
-    return np.bincount(front, minlength=len(pairs) * l ** ((k + 1) // 2))
+    fixes = [np.flatnonzero(s >> np.arange(2 * k - 1, -1, -1) & 1) for s in stabilizers]
+    col_key = _sequence_keys(cols, shifts[0], l)
+    below = {t: col_key <= _sequence_keys(cols, symmetries[t][1], l) for t in set().union(*fixes)}
+    # Per stabilizer group: the kept column sequences' candidates per front
+    # code, and their back codes, narrow.
+    width = l ** (k // 2)
+    kept = [col_key[np.all([below[t] for t in ts], axis=0)] for ts in fixes]
+    counts = np.stack([np.bincount(c // width, minlength=l ** ((k + 1) // 2)) for c in kept])
+    codes = [(c % width).astype(np.min_scalar_type(width - 1)) for c in kept]
+    back = np.repeat(np.arange(len(rows)) * width, np.array([c.size for c in codes])[group])
+    back += np.concatenate([codes[g] for g in group.tolist()])
+    pairs = rows * j + np.roll(rows, -1, axis=1)
+    return pairs, counts[group].ravel(), back
 
 
 def _sequence_count(j: int, l: int, k: int) -> int:
@@ -249,7 +258,7 @@ def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
     table = _cycle_table(matrix.rows, matrix.cols, k)
     if table is None:
         return np.zeros(0, dtype=dtype)
-    pairs, _, back = table
+    pairs, counts, back = table
     entries = np.asarray(matrix.entries, dtype=np.int64)
     terms = (entries[:, None] - entries[None]).reshape(-1, matrix.cols)[pairs].astype(dtype)
     grids = []
@@ -258,7 +267,7 @@ def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
         for i in range(lo + 1, hi):
             grid = (grid[:, :, None] + terms[:, i, None, :]).reshape(len(pairs), -1)
         grids.append(grid.ravel())
-    sums = np.repeat(grids[0], _front_counts(matrix.rows, matrix.cols, k))
+    sums = np.repeat(grids[0], counts)
     sums += grids[1][back]
     return sums
 
@@ -320,8 +329,9 @@ class CycleSpectrum:
         if not hits.size:
             return None
         j, l, k = self._matrix.rows, self._matrix.cols, length // 2
-        pairs, front, back = _cycle_table(j, l, k)
-        row, *cols = np.unravel_index(front[hits[0]], (len(pairs),) + (l,) * ((k + 1) // 2))
+        pairs, counts, back = _cycle_table(j, l, k)
+        front = np.searchsorted(np.cumsum(counts), hits[0], side="right")
+        row, *cols = np.unravel_index(front, (len(pairs),) + (l,) * ((k + 1) // 2))
         cols += np.unravel_index(back[hits[0]], (len(pairs),) + (l,) * (k // 2))[1:]
         return CycleWitness(length, tuple((pairs[row] // j).tolist()), tuple(map(int, cols)), p)
 
@@ -382,7 +392,11 @@ def girth_oracle(matrix: ExponentMatrix, p: int) -> int | None:
     a simple bipartite graph has.  Returns None for acyclic graphs.
     """
     check_size(p, "modulus")
-    cols, gather = qc_layout(QcCode(matrix, p))
+    code = QcCode(matrix, p)
+    if matrix.rows == 1:  # no root: refuse as the layout would, without laying out
+        check_layout(code)
+        return None
+    cols, gather = qc_layout(code)
     # Even levels hold checks and odd levels variables, each side by its own
     # index: check c meets the variables nbrs[0][c], variable v the checks nbrs[1][v].
     nbrs = (cols.T, gather.T % cols.shape[1])

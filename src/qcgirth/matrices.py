@@ -243,19 +243,22 @@ def _check_rows(n_rows: int, n_cols: int, row_supports) -> None:
             prev = c
 
 
+def check_layout(code: QcCode) -> None:
+    """Raise BudgetError for a code with more than MAX_LAYOUT_EDGES edges."""
+    edges = code.parity_rows * code.exponents.cols
+    if edges > MAX_LAYOUT_EDGES:
+        raise BudgetError(f"code has {edges} edges, over the layout budget of {MAX_LAYOUT_EDGES}")
+
+
 def qc_layout(code: QcCode) -> tuple[np.ndarray, np.ndarray]:
     """The expansion's (cols, gather) layout, straight from the exponents.
 
     Check u*P + r meets column v*P + (r + E[u][v]) mod P: ``cols`` is L x M
     and ``gather`` J x N, as :attr:`SparseBinaryMatrix.layout` lays them out.
-    Raises BudgetError, before allocating anything, for codes with more than
-    MAX_LAYOUT_EDGES edges.
+    Raises BudgetError (:func:`check_layout`) before allocating anything.
     """
+    check_layout(code)
     p, j, l = code.circulant_size, code.exponents.rows, code.exponents.cols
-    if j * l * p > MAX_LAYOUT_EDGES:
-        raise BudgetError(
-            f"code has {j * l * p} edges, over the layout budget of {MAX_LAYOUT_EDGES}"
-        )
     s = np.array([[e % p for e in row] for row in code.exponents.entries], dtype=np.int64)
     local, block = np.arange(p), np.arange(l)[:, None, None]
     cols = local + s.T[:, :, None]

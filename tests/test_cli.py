@@ -131,6 +131,16 @@ class TestGirth:
         outcome = run(["girth", "--matrix", seed_path, "--p", "277778", "--oracle"])
         assert outcome.exit_code == 3
 
+    def test_one_row_oracle_keeps_the_layout_budget(self, tmp_path):
+        # one block row gives no BFS root, yet past the edge budget still exits 3
+        path = tmp_path / "one_row.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 4, "entries": [[0, 1, 2, 3]]}))
+        at_budget = run(["girth", "--matrix", str(path), "--p", "1250000", "--oracle"])
+        assert at_budget.exit_code == 0
+        assert json.loads(at_budget.stdout_payload) == {
+            "girth": None, "method": "GRAPH_BFS", "witness": None}
+        assert run(["girth", "--matrix", str(path), "--p", "1250001", "--oracle"]).exit_code == 3
+
     def test_two_row_girth_past_the_oracle_budget(self, tmp_path):
         # 2 * 3 * 20011 edges; the girth-12 rule answers without expanding
         path = tmp_path / "two_rows.json"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -27,11 +28,12 @@ from qcgirth import (
 )
 from qcgirth.girth import (
     SEQUENCE_BUDGET,
+    SUPPORTED_CYCLE_LENGTHS,
     _alternating_count,
     _alternating_sequences,
     _cycle_table,
-    _front_counts,
     _sequence_count,
+    _sequence_keys,
 )
 from qcgirth.matrices import MAX_VALUE
 
@@ -53,13 +55,15 @@ def _decoded_table(j, l, k, which=slice(None)):
 
     Entry i of a candidate is the flat index (r_i * J + r_{i+1}) * L + c_i
     of its term E[r_i][c_i] - E[r_{i+1}][c_i] in the J x J x L grid of
-    column differences, decoded from the row-pair codes and the two half
-    indexes; None when the cache holds no table.  *which* selects candidates.
+    column differences, decoded from the row-pair codes, the front cells
+    rebuilt by repeat from their counts, and the back indexes; None when the
+    cache holds no table.  *which* selects candidates.
     """
     table = _cycle_table(j, l, k)
     if table is None:
         return None
-    pairs, front, back = table[0], table[1][which], table[2][which]
+    pairs, counts, back = table
+    front, back = np.repeat(np.arange(counts.size), counts)[which], back[which]
     h = (k + 1) // 2
     row_ids, front_code = np.divmod(front, l ** h)
     back_ids, back_code = np.divmod(back, l ** (k - h))
@@ -380,6 +384,20 @@ class TestGirthOracle:
         with pytest.raises(BudgetError, match="5000000"):
             girth_oracle(ref_seed, 277778)
 
+    def test_one_block_row_is_answered_without_a_layout(self):
+        # 1 * 4 * 1,250,000 edges sit exactly at the layout budget: no BFS
+        # root, so None, without the ~160 MB layout; one more P is refused
+        m = ExponentMatrix.from_rows([[0, 1, 2, 3]])
+        tracemalloc.start()
+        try:
+            assert girth_oracle(m, 1_250_000) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        with pytest.raises(BudgetError, match="5000004 edges, over the layout budget"):
+            girth_oracle(m, 1_250_001)
+
 
 class TestAgreement:
     def test_block_row_roots_equal_every_root(self):
@@ -512,15 +530,18 @@ class TestEnumerationStructure:
 
     def test_cached_table_holds_two_index_arrays(self):
         # the (3,10) length-10 cache: row-pair codes of the 3 canonical row
-        # sequences and one front and one back index per candidate, not k * n terms
-        pairs, front, back = _cycle_table(3, 10, 5)
+        # sequences, the candidates per front cell, and one back index per
+        # candidate, not k * n terms
+        pairs, counts, back = _cycle_table(3, 10, 5)
         assert pairs.shape == (3, 5)
-        assert front.shape == back.shape == (177_120,)
-        assert front.dtype == back.dtype == np.intp
-        assert pairs.size + front.size + back.size == 2 * 177_120 + 15
+        assert counts.shape == (3000,)
+        assert back.shape == (177_120,)
+        assert counts.dtype == back.dtype == np.intp
+        assert pairs.nbytes + counts.nbytes + back.nbytes == 1_441_080
 
     def test_front_never_decreases_and_its_counts_cover_the_table(self):
-        # exponent_sums reads the front grid by np.repeat over these counts
+        # front cells come in order, so exponent_sums reads the front grid by
+        # np.repeat over the counts; every back index lies in the back grid
         for j, l, k in [
             (j, l, k)
             for j in range(1, 8)
@@ -531,9 +552,10 @@ class TestEnumerationStructure:
             table = _cycle_table(j, l, k)
             if table is None:
                 continue
-            _, front, _ = table
-            assert (np.diff(front) >= 0).all(), (j, l, k)
-            assert _front_counts(j, l, k).sum() == front.size, (j, l, k)
+            pairs, counts, back = table
+            assert counts.size == len(pairs) * l ** ((k + 1) // 2), (j, l, k)
+            assert counts.sum() == back.size, (j, l, k)
+            assert back.min() >= 0 and back.max() < len(pairs) * l ** (k // 2), (j, l, k)
 
     @pytest.mark.parametrize("l", range(2, 13))
     def test_half_grids_stay_small(self, l):
@@ -544,11 +566,50 @@ class TestEnumerationStructure:
             table = _cycle_table(3, l, k) if _sequence_count(3, l, k) <= SEQUENCE_BUDGET else None
             if table is None:
                 continue
-            pairs, front, _ = table
-            n, grids = front.size, [len(pairs) * l ** ((k + 1) // 2), len(pairs) * l ** (k // 2)]
+            pairs, _, back = table
+            n, grids = back.size, [len(pairs) * l ** ((k + 1) // 2), len(pairs) * l ** (k // 2)]
             assert 3 * sum(grids) <= 8 * k * n, (k, grids, n)
             if l >= 4:
                 assert max(grids) <= n, (k, grids, n)
+
+    @pytest.mark.parametrize("symbols, dtype", [(256, np.uint8), (300, np.uint16)])
+    def test_sequences_are_narrow_and_their_keys_exact(self, symbols, dtype):
+        seqs = _alternating_sequences(symbols, 2)
+        assert seqs.dtype == dtype
+        for order in ([0, 1], [1, 0]):
+            want = [int(s[order[0]]) * symbols + int(s[order[1]]) for s in seqs.tolist()]
+            keys = _sequence_keys(seqs, order, symbols)
+            assert keys.dtype == np.int64
+            assert keys.tolist() == want
+
+    def test_build_peak_stays_small(self):
+        # the (3,10) length-10 build keeps no int64 copy of the sequences and
+        # no (2k, n) stack of keys: its peak was 6.77 MB with both
+        _cycle_table.cache_clear()
+        tracemalloc.start()
+        try:
+            _cycle_table(3, 10, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("path", ["fixtures/seed_3x6.json", "bench/inputs/seed_3x10.json"])
+    def test_witness_by_counts_equals_the_front_index_answer(self, path):
+        # one step below min_P and at each length's own max|S|, every length
+        # within the budget: the first closing candidate, decoded through the
+        # front cells rebuilt in full
+        seed = load_matrix(REPO_ROOT / path)
+        closing = 0
+        for length in SUPPORTED_CYCLE_LENGTHS:
+            if _sequence_count(seed.rows, seed.cols, length // 2) > SEQUENCE_BUDGET:
+                continue
+            top = int(np.abs(exponent_sums(seed, length).astype(np.int64)).max())
+            for p in (seed.spectrum.bound() - 1, top):
+                want = _reference_find_cycle(seed, p, length)
+                assert seed.spectrum.witness(p, length) == want, (length, p)
+                closing += want is not None
+        assert closing >= 5
 
 
 class TestGirthReport:
