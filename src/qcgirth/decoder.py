@@ -44,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .matrices import QcCode, SparseBinaryMatrix, qc_layout
+from .matrices import QcCode, SparseBinaryMatrix, check_ints, qc_layout
 
 LLR_CLAMP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
@@ -58,13 +58,6 @@ _MAX_WORKERS = 4
 # 50 MB process; the cheapest frame (noiseless, one iteration) costs 34 ns per
 # edge.  Below this many edge-frames a split may not win its fork back.
 _SPLIT_MIN_WORK = 100_000
-
-
-def _check_counts(**counts) -> None:
-    """Refuse a count or seed that is not a Python int, or is a bool, by its name."""
-    for name, value in counts.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ class ChannelParams:
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}; "
                              "simulation needs more columns than rows")
-        _check_counts(rng_seed=self.rng_seed)
+        check_ints(rng_seed=self.rng_seed)
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
         if self.ebn0_db != math.inf:
@@ -243,7 +236,7 @@ def decode_sp(matrix: SparseBinaryMatrix, llr, max_iter: int) -> DecodeResult:
     Stops early as soon as the hard decision has a zero syndrome; returns
     the hard decisions, the convergence flag and the iterations used.
     """
-    _check_counts(max_iter=max_iter)
+    check_ints(max_iter=max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     values = np.asarray(llr)
@@ -347,7 +340,7 @@ def monte_carlo(
     A frame whose count does not arrive is decoded here.  Every child is
     killed and reaped before this returns or raises.
     """
-    _check_counts(max_iter=max_iter, min_error_frames=min_error_frames, frame_cap=frame_cap)
+    check_ints(max_iter=max_iter, min_error_frames=min_error_frames, frame_cap=frame_cap)
     if max_iter < 1 or min_error_frames < 1 or frame_cap < 1:
         raise ValueError("max_iter, min_error_frames and frame_cap must be >= 1")
     cols, gather = qc_layout(code)

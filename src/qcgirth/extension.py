@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import BudgetError
 from .girth import CycleWitness, girth_fast
-from .matrices import (MAX_VALUE, ExponentMatrix, QcCode, canonical_check, check_size,
-                       matrix_to_json)
+from .matrices import (MAX_VALUE, ExponentMatrix, QcCode, canonical_check, check_ints,
+                       check_size, matrix_to_json)
 
 MAX_FAMILY_MEMBERS = 1_000_000  # largest P window one extend_family call accepts
 
@@ -181,8 +181,11 @@ def extend_family(matrix: ExponentMatrix, q: int, p_lo: int, p_hi: int) -> QcFam
     The seed must pass :func:`check_seed_conditions` at Q, and the window
     must be non-empty; :class:`QcFamily` refuses a p_lo below min_P and a
     window past MAX_VALUE.  Windows of more than MAX_FAMILY_MEMBERS sizes
-    raise BudgetError before any work starts.  No member is built here.
+    raise BudgetError before any work starts, and a p_lo or p_hi that is not
+    a Python int (or is a bool) raises ValueError before any other check.  No
+    member is built here.
     """
+    check_ints(p_lo=p_lo, p_hi=p_hi)
     if p_hi - p_lo + 1 > MAX_FAMILY_MEMBERS:
         raise BudgetError(f"P window {p_lo}..{p_hi} holds {p_hi - p_lo + 1} members, "
                           f"over the cap of {MAX_FAMILY_MEMBERS}")

@@ -19,15 +19,17 @@ zero (Fossorier, IEEE Trans. IT, 2004).  There, no cycle through length 10
 means girth exactly 12.  One row or column is acyclic; a 2 x 2 Tanner graph
 is a union of cycles of length 4P / gcd(P, E00 - E01 - E10 + E11).
 
-Each cycle is enumerated once, as the lexicographically smallest
-(row_seq, col_seq) among its k rotations and k reflections.  A pair is that
-smallest exactly when row_seq is the smallest of its own orbit and col_seq
-is no larger than its image under each symmetry that fixes row_seq, so the
-tables are built from the canonical row sequences alone (:func:`_cycle_table`).
-A table indexes a candidate by its row sequence and the two halves of its
-column sequence, so its sum meets in the middle: front-half plus back-half sum.
-Candidates come in order, so a table keeps each one's back half but only a
-count per front half, read by repeat (a witness searches the running counts).
+The candidates of length 2k pair each canonical row sequence, the
+lexicographically smallest of its k rotations and k reflections
+(:func:`_row_pairs`), with every column sequence (:func:`_column_halves`), in
+(row_seq, col_seq) order.  A cycle whose row sequence some symmetry fixes is
+listed once per such symmetry, and the first candidate closing at P is still
+the smallest (row_seq, col_seq) of its cycle: a symmetry fixing row_seq maps
+a later copy to an earlier candidate of the same cycle, which closes too.
+A candidate's sum meets in the middle: its row sequence's sum over the front
+half of its column sequence plus that over the back half.  Column sequences
+come in order, so the back codes are kept per sequence but the front codes
+only as a count each, read by repeat (a witness searches the running counts).
 Sums stay in the narrowest of int16, int32 and int64 holding k times the
 largest entry.
 
@@ -168,63 +170,38 @@ def _sequence_keys(seqs: np.ndarray, order: list[int], base: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cycle_table(j: int, l: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Enumeration table for 2k-cycles of a J x L exponent matrix, split in halves.
+def _row_pairs(j: int, k: int) -> np.ndarray:
+    """Row-pair codes r_i * J + r_{i+1}, (n_r, k), of the canonical row sequences.
 
-    Candidates are the canonical (row_seq, col_seq) pairs in that order.
-    Returns (pairs, counts, back).  pairs is (n_r, k): the codes
-    r_i * J + r_{i+1} of each canonical row sequence, so term i of a
-    candidate is E[r_i][c_i] - E[r_{i+1}][c_i], at row pair pairs[., i].
-    A candidate's front cell is row_seq_id * L^h plus the base-L code of
-    c_0..c_{h-1}, with h = ceil(k / 2), and its back cell row_seq_id *
-    L^(k-h) plus the code of c_h..c_{k-1}.  back (n,) holds each candidate's
-    back cell.  Front cells never decrease along the table, so counts
-    (n_r * L^h,) holds the candidates per front cell, and candidate i lies in
-    the first cell whose running count exceeds i.  No (k, n) table of terms
-    is formed.  Returns None when no valid sequence exists (fewer than two
-    rows or columns, or odd k with fewer than three of either).
+    A row sequence is canonical when it is no larger than any of its k
+    rotations and k reflections (r_t, r_{t-1}, ..).  Term i of a candidate is
+    E[r_i][c_i] - E[r_{i+1}][c_i], at row pair pairs[., i].  The sequences
+    stay in lexicographic order; none exist for fewer than two rows, or for
+    odd k and fewer than three.
     """
     rows = _alternating_sequences(j, k)
-    cols = _alternating_sequences(l, k)
-    if not rows.size or not cols.size:
-        return None
-    # (row, column) index maps of the k rotations, identity first, and of the
-    # k reflections: rows (r_t, r_{t-1}, ..) with columns (c_{t-1}, c_{t-2}, ..).
-    shifts = [[(i + t) % k for i in range(k)] for t in range(k)]
-    symmetries = [(idx, idx) for idx in shifts] + [
-        ([(t - i) % k for i in range(k)], [(t - 1 - i) % k for i in range(k)])
-        for t in range(k)
-    ]
-    # Keys ordering sequences lexicographically, one symmetry at a time; row
-    # sequences with a smaller image are skipped in one mask.  Bit 2k - 1 - t
-    # of fixing says whether symmetry t fixes the row sequence, so the codes
-    # sort as rows of those bits, identity first, would.
-    row_key = _sequence_keys(rows, shifts[0], j)
+    key = _sequence_keys(rows, list(range(k)), j)
     canonical = np.ones(len(rows), dtype=bool)
-    fixing = np.ones(len(rows), dtype=np.uint16)  # the identity's bit
-    for ridx, _ in symmetries[1:]:
-        key = _sequence_keys(rows, ridx, j)
-        canonical &= key >= row_key
-        fixing <<= 1
-        fixing |= key == row_key
-        del key  # at most two (n,) keys live at once
+    for order in ([[(i + t) % k for i in range(k)] for t in range(1, k)]
+                  + [[(t - i) % k for i in range(k)] for t in range(k)]):
+        canonical &= _sequence_keys(rows, order, j) >= key
     rows = rows[canonical].astype(np.intp)
-    stabilizers, group = np.unique(fixing[canonical], return_inverse=True)
-    # The symmetries fixing a row sequence (identity included) decide which
-    # column sequences it keeps: those no larger than each of their images.
-    fixes = [np.flatnonzero(s >> np.arange(2 * k - 1, -1, -1) & 1) for s in stabilizers]
-    col_key = _sequence_keys(cols, shifts[0], l)
-    below = {t: col_key <= _sequence_keys(cols, symmetries[t][1], l) for t in set().union(*fixes)}
-    # Per stabilizer group: the kept column sequences' candidates per front
-    # code, and their back codes, narrow.
-    width = l ** (k // 2)
-    kept = [col_key[np.all([below[t] for t in ts], axis=0)] for ts in fixes]
-    counts = np.stack([np.bincount(c // width, minlength=l ** ((k + 1) // 2)) for c in kept])
-    codes = [(c % width).astype(np.min_scalar_type(width - 1)) for c in kept]
-    back = np.repeat(np.arange(len(rows)) * width, np.array([c.size for c in codes])[group])
-    back += np.concatenate([codes[g] for g in group.tolist()])
-    pairs = rows * j + np.roll(rows, -1, axis=1)
-    return pairs, counts[group].ravel(), back
+    return rows * j + np.roll(rows, -1, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _column_halves(l: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, back) of every column sequence, in lexicographic order.
+
+    With h = ceil(k / 2), a sequence's front code is the base-L code of
+    c_0..c_{h-1} and its back code that of c_h..c_{k-1}.  Front codes never
+    decrease along the sequences, so counts (L^h,) holds the sequences per
+    front code, and back (n_c,) holds each sequence's back code.
+    """
+    cols = _alternating_sequences(l, k)
+    h = (k + 1) // 2
+    front = _sequence_keys(cols, list(range(h)), l)
+    return np.bincount(front, minlength=l ** h), _sequence_keys(cols, list(range(h, k)), l)
 
 
 def _sequence_count(j: int, l: int, k: int) -> int:
@@ -234,10 +211,13 @@ def _sequence_count(j: int, l: int, k: int) -> int:
 def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
     """Alternating exponent sum of every candidate cycle of *length*.
 
-    One value per candidate of the cached cycle table, met in the middle: the
-    (n_r, k, L) column differences of the row sequences are summed over every
-    front-half and back-half column code into two grids, and a candidate adds
-    one cell of each, the front cell by repeat.  A candidate closes at size P
+    One value per (canonical row sequence, column sequence) candidate, in
+    that order, met in the middle: the (n_r, k, L) column differences of the
+    row sequences are summed over every front-half and back-half column code
+    into two (n_r, .) grids, and a candidate adds one cell of each, the front
+    cell by repeat.  At lengths 4, 8 and 12 a cycle appears once per symmetry
+    fixing its row sequence (module docstring), so sums may outnumber cycles,
+    but never the raw sequences.  A candidate closes at size P
     exactly when P divides its sum (Fossorier, IEEE Trans. IT, 2004).  The sums
     are in the narrowest of int16, int32 and int64 whose maximum exceeds
     k * max entry, a bound on |sum| (MAX_VALUE keeps int64 exact); widen them
@@ -255,10 +235,10 @@ def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
         )
     dtype = next(t for t in (np.int16, np.int32, np.int64)
                  if k * matrix.max_entry < np.iinfo(t).max)
-    table = _cycle_table(matrix.rows, matrix.cols, k)
-    if table is None:
+    if not raw:  # no row or no column sequence
         return np.zeros(0, dtype=dtype)
-    pairs, counts, back = table
+    pairs = _row_pairs(matrix.rows, k)
+    counts, back = _column_halves(matrix.cols, k)
     entries = np.asarray(matrix.entries, dtype=np.int64)
     terms = (entries[:, None] - entries[None]).reshape(-1, matrix.cols)[pairs].astype(dtype)
     grids = []
@@ -266,10 +246,10 @@ def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
         grid = terms[:, lo]
         for i in range(lo + 1, hi):
             grid = (grid[:, :, None] + terms[:, i, None, :]).reshape(len(pairs), -1)
-        grids.append(grid.ravel())
-    sums = np.repeat(grids[0], counts)
-    sums += grids[1][back]
-    return sums
+        grids.append(grid)
+    sums = np.repeat(grids[0], counts, axis=1)
+    sums += np.take(grids[1], back, axis=1)
+    return sums.ravel()
 
 
 def find_cycle(matrix: ExponentMatrix, p: int, length: int) -> CycleWitness | None:
@@ -329,10 +309,12 @@ class CycleSpectrum:
         if not hits.size:
             return None
         j, l, k = self._matrix.rows, self._matrix.cols, length // 2
-        pairs, counts, back = _cycle_table(j, l, k)
-        front = np.searchsorted(np.cumsum(counts), hits[0], side="right")
-        row, *cols = np.unravel_index(front, (len(pairs),) + (l,) * ((k + 1) // 2))
-        cols += np.unravel_index(back[hits[0]], (len(pairs),) + (l,) * (k // 2))[1:]
+        pairs = _row_pairs(j, k)
+        counts, back = _column_halves(l, k)
+        row, col = divmod(int(hits[0]), back.size)
+        front = np.searchsorted(np.cumsum(counts), col, side="right")
+        cols = np.unravel_index(front, (l,) * ((k + 1) // 2))
+        cols += np.unravel_index(back[col], (l,) * (k // 2))
         return CycleWitness(length, tuple((pairs[row] // j).tolist()), tuple(map(int, cols)), p)
 
     def bound(self) -> int | None:

@@ -34,6 +34,13 @@ MAX_VALUE = 2 ** 59
 MAX_LAYOUT_EDGES = 5_000_000  # J * L * P edges one qc_layout call lays out
 
 
+def check_ints(**values) -> None:
+    """Refuse a count, seed or bound that is not a Python int, or is a bool, by its name."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_size(value, name: str) -> None:
     """The one rule for a P, modulus, Q or q_cap: a Python int (no bool) in [2, MAX_VALUE]."""
     if not isinstance(value, int) or isinstance(value, bool) or not 2 <= value <= MAX_VALUE:

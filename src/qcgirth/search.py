@@ -15,7 +15,7 @@ import numpy as np
 from .errors import SearchBudgetError
 from .extension import ConditionReport, check_seed_conditions
 from .girth import SHORT_CYCLE_LENGTHS, exponent_sums, girth_fast
-from .matrices import ExponentMatrix, check_size
+from .matrices import ExponentMatrix, check_ints, check_size
 
 _MAX_GRID_CELLS = 1 << 22  # (a, b) cells one window may lay out
 
@@ -25,7 +25,8 @@ class SearchConfig:
     """Knobs of the seed search; only `cols` and `q_cap` are problem data.
 
     `restarts` is the beam width.  The beam expands at most
-    restarts·(cols − 1) partial seeds, so no step budget is needed.
+    restarts·(cols − 1) partial seeds, so no step budget is needed.  `cols`
+    and `restarts` must be Python ints, not bools.
     """
 
     cols: int
@@ -33,6 +34,7 @@ class SearchConfig:
     restarts: int = 8
 
     def __post_init__(self):
+        check_ints(cols=self.cols, restarts=self.restarts)
         if self.cols < 2:
             raise ValueError(f"a seed needs at least 2 columns, got cols={self.cols}")
         check_size(self.q_cap, "q_cap")

@@ -173,6 +173,16 @@ class TestExtendFamily:
         with pytest.raises(ValueError, match="empty range"):
             extend_family(ref_seed, 393, 460, 450)
 
+    @pytest.mark.parametrize("name, p_lo, p_hi", [
+        ("p_hi", 449, 460.0), ("p_lo", 449.0, 460), ("p_lo", True, 460),
+        ("p_hi", 449, "460"), ("p_hi", 449, False)])
+    def test_window_bounds_that_are_not_ints_rejected(self, name, p_lo, p_hi):
+        # refused by name before the window, the seed or min_P is looked at:
+        # a float used to fail in range(), p_lo=True met the min_P message
+        value = {"p_lo": p_lo, "p_hi": p_hi}[name]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            extend_family(ExponentMatrix.from_rows([[0, 1]]), 393, p_lo, p_hi)
+
     def test_failing_seed_rejected(self):
         m = ExponentMatrix.from_rows([[0, 0, 0], [0, 1, 2], [0, 1, 2]])
         with pytest.raises(ValueError, match="extension conditions"):

@@ -31,7 +31,8 @@ from qcgirth.girth import (
     SUPPORTED_CYCLE_LENGTHS,
     _alternating_count,
     _alternating_sequences,
-    _cycle_table,
+    _column_halves,
+    _row_pairs,
     _sequence_count,
     _sequence_keys,
 )
@@ -51,24 +52,22 @@ WIDE = ExponentMatrix.from_rows([[0] * 40, list(range(40)), list(range(0, 80, 2)
 
 
 def _decoded_table(j, l, k, which=slice(None)):
-    """The cached 2k-cycle table of a J x L matrix as a (k, n) array of terms.
+    """The cached 2k-cycle tables of a J x L matrix as a (k, n) array of terms.
 
     Entry i of a candidate is the flat index (r_i * J + r_{i+1}) * L + c_i
     of its term E[r_i][c_i] - E[r_{i+1}][c_i] in the J x J x L grid of
-    column differences, decoded from the row-pair codes, the front cells
-    rebuilt by repeat from their counts, and the back indexes; None when the
-    cache holds no table.  *which* selects candidates.
+    column differences.  Candidate r * n_c + c pairs row sequence r, decoded
+    from its row-pair codes, with column sequence c, its front code rebuilt
+    by repeat from the counts and its back code read from the back array;
+    None when either cache holds no sequence.  *which* selects candidates.
     """
-    table = _cycle_table(j, l, k)
-    if table is None:
+    pairs = _row_pairs(j, k)
+    counts, back = _column_halves(l, k)
+    if not len(pairs) or not back.size:
         return None
-    pairs, counts, back = table
-    front, back = np.repeat(np.arange(counts.size), counts)[which], back[which]
-    h = (k + 1) // 2
-    row_ids, front_code = np.divmod(front, l ** h)
-    back_ids, back_code = np.divmod(back, l ** (k - h))
-    np.testing.assert_array_equal(row_ids, back_ids)  # both halves name the same row_seq
-    code = front_code * l ** (k - h) + back_code
+    row_ids, col_ids = np.divmod(np.arange(len(pairs) * back.size)[which], back.size)
+    front = np.repeat(np.arange(counts.size), counts)[col_ids]
+    code = front * l ** (k // 2) + back[col_ids]
     cols = np.stack([code // l ** (k - 1 - i) % l for i in range(k)])
     return pairs[row_ids].T * l + cols
 
@@ -503,7 +502,7 @@ class TestEnumerationStructure:
         # 6- and 10-cycles cannot live in two rows: the row sequence is an
         # odd cycle, which has no proper 2-coloring.  Verified structurally
         # on the enumeration tables used by the checker.
-        assert _cycle_table(2, 6, k) is None
+        assert _row_pairs(2, k).shape == (0, k)
         row_seqs = _decoded_table(3, 6, k) // 18  # r_i of each term
         assert all(len(set(map(int, rows))) >= 3 for rows in row_seqs.T)
 
@@ -519,55 +518,80 @@ class TestEnumerationStructure:
         + [(3, 10, 5)],
     )
     def test_table_equals_cross_product_reference(self, j, l, k):
-        # same candidates in the same order, so sums and witnesses are unchanged
+        # The table is every (canonical row sequence, column sequence) pair in
+        # order: the one-per-cycle reference plus pairs that are not their
+        # cycle's smallest image.  So the first candidate closing at any P is
+        # the reference's first, and sums and witnesses are unchanged.
         expected = _reference_cycle_table(j, l, k)
         table = _decoded_table(j, l, k)
         if expected is None:
             assert table is None
-        else:
-            assert table.dtype == expected.dtype
-            np.testing.assert_array_equal(table, expected)
+            return
+        assert table.dtype == expected.dtype
+        base = max(j, l)
+
+        def keys(terms):
+            digits = np.concatenate([terms // (j * l), terms % l])
+            return base ** np.arange(2 * k - 1, -1, -1) @ digits
+
+        got, want = keys(table), keys(expected)
+        assert (np.diff(got) > 0).all()  # (row_seq, col_seq) order, no repeats
+        assert np.isin(want, got).all()
+        rows = np.unique(table // (j * l), axis=1)
+        np.testing.assert_array_equal(rows, np.unique(expected // (j * l), axis=1))
+        assert table.shape[1] == rows.shape[1] * _alternating_count(l, k)
+        # Witnesses: the first closing candidate of a fixed matrix, at P = 2..30.
+        rng = np.random.default_rng(j * 100 + l * 10 + k)
+        entries = rng.integers(0, 30, size=(j, l))
+        diffs = (entries[:, None, :] - entries[None, :, :]).ravel()
+        sums, ref_sums = diffs[table].sum(axis=0), diffs[expected].sum(axis=0)
+        for p in range(2, 31):
+            hits, ref_hits = np.flatnonzero(sums % p == 0), np.flatnonzero(ref_sums % p == 0)
+            assert hits.size >= ref_hits.size
+            if ref_hits.size:
+                assert got[hits[0]] == want[ref_hits[0]], p
 
     def test_cached_table_holds_two_index_arrays(self):
-        # the (3,10) length-10 cache: row-pair codes of the 3 canonical row
-        # sequences, the candidates per front cell, and one back index per
-        # candidate, not k * n terms
-        pairs, counts, back = _cycle_table(3, 10, 5)
+        # the (3,10) length-10 caches: row-pair codes of the 3 canonical row
+        # sequences, the column sequences per front code, and one back code
+        # per column sequence, not one index per candidate
+        pairs = _row_pairs(3, 5)
+        counts, back = _column_halves(10, 5)
         assert pairs.shape == (3, 5)
-        assert counts.shape == (3000,)
-        assert back.shape == (177_120,)
+        assert counts.shape == (1000,)
+        assert back.shape == (59_040,)
         assert counts.dtype == back.dtype == np.intp
-        assert pairs.nbytes + counts.nbytes + back.nbytes == 1_441_080
+        assert pairs.nbytes + counts.nbytes + back.nbytes == 480_440
 
     def test_front_never_decreases_and_its_counts_cover_the_table(self):
-        # front cells come in order, so exponent_sums reads the front grid by
-        # np.repeat over the counts; every back index lies in the back grid
-        for j, l, k in [
-            (j, l, k)
-            for j in range(1, 8)
-            for l in range(1, 8)
-            for k in range(2, 7)
-            if _sequence_count(j, l, k) <= SEQUENCE_BUDGET
-        ] + [(3, 10, 5)]:
-            table = _cycle_table(j, l, k)
-            if table is None:
-                continue
-            pairs, counts, back = table
-            assert counts.size == len(pairs) * l ** ((k + 1) // 2), (j, l, k)
-            assert counts.sum() == back.size, (j, l, k)
-            assert back.min() >= 0 and back.max() < len(pairs) * l ** (k // 2), (j, l, k)
+        # front codes come in order, so exponent_sums reads the front grid by
+        # np.repeat over the counts; every back code lies in the back grid
+        for l in range(1, 11):
+            for k in range(2, 7):
+                if _alternating_count(l, k) > SEQUENCE_BUDGET:
+                    continue
+                counts, back = _column_halves(l, k)
+                seqs = _alternating_sequences(l, k).astype(np.int64)
+                h = (k + 1) // 2
+                front = seqs[:, :h] @ l ** np.arange(h - 1, -1, -1)
+                np.testing.assert_array_equal(
+                    np.repeat(np.arange(counts.size), counts), front)
+                assert counts.size == l ** h, (l, k)
+                assert counts.sum() == back.size == len(seqs), (l, k)
+                np.testing.assert_array_equal(
+                    back, seqs[:, h:] @ l ** np.arange(k - h - 1, -1, -1))
 
     @pytest.mark.parametrize("l", range(2, 13))
     def test_half_grids_stay_small(self, l):
         # the half grids, n_r * L^h and n_r * L^(k-h) cells, hold at most
-        # 8/3 * k * n cells together (reached at L = 2, length 12), and from
-        # L = 4 on each holds at most the candidate count n
+        # 8/3 * k * n cells together for the n = n_r * n_c candidates, and
+        # from L = 4 on each holds at most n
         for k in range(2, 7):
-            table = _cycle_table(3, l, k) if _sequence_count(3, l, k) <= SEQUENCE_BUDGET else None
-            if table is None:
+            if _sequence_count(3, l, k) > SEQUENCE_BUDGET or not _alternating_count(l, k):
                 continue
-            pairs, _, back = table
-            n, grids = back.size, [len(pairs) * l ** ((k + 1) // 2), len(pairs) * l ** (k // 2)]
+            n_r = len(_row_pairs(3, k))
+            n = n_r * _column_halves(l, k)[1].size
+            grids = [n_r * l ** ((k + 1) // 2), n_r * l ** (k // 2)]
             assert 3 * sum(grids) <= 8 * k * n, (k, grids, n)
             if l >= 4:
                 assert max(grids) <= n, (k, grids, n)
@@ -584,15 +608,17 @@ class TestEnumerationStructure:
 
     def test_build_peak_stays_small(self):
         # the (3,10) length-10 build keeps no int64 copy of the sequences and
-        # no (2k, n) stack of keys: its peak was 6.77 MB with both
-        _cycle_table.cache_clear()
+        # no index per candidate: the one-table build peaked at 3.0 MB
+        _row_pairs.cache_clear()
+        _column_halves.cache_clear()
         tracemalloc.start()
         try:
-            _cycle_table(3, 10, 5)
+            _row_pairs(3, 5)
+            _column_halves(10, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4_000_000
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("path", ["fixtures/seed_3x6.json", "bench/inputs/seed_3x10.json"])
     def test_witness_by_counts_equals_the_front_index_answer(self, path):
@@ -677,6 +703,13 @@ class TestExponentSums:
         sums, _, hi = spectrum._scan(10)
         assert sums.dtype == np.int16 and hi == 4417  # min_P = 4419 comes from length 8
         assert sums.nbytes == 354_240  # 177,120 candidates, 2 bytes each
+
+    def test_a_cycle_is_summed_once_per_symmetry_fixing_its_rows(self):
+        # (3,10) at length 8: 14,850 cycles, summed over every column sequence
+        # of the 6 canonical row sequences, of 118,260 raw sequences
+        assert _reference_cycle_table(3, 10, 4).shape[1] == 14_850
+        assert exponent_sums(SEED_3X10, 8).size == len(_row_pairs(3, 4)) * 6570 == 39_420
+        assert exponent_sums(SEED_3X10, 10).size == _reference_cycle_table(3, 10, 5).shape[1]
 
 
 def _int64_sums(matrix, length):

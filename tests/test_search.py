@@ -39,6 +39,15 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="cols=1"):
             SearchConfig(cols=1, q_cap=10)
 
+    @pytest.mark.parametrize("field, value", [("cols", 3.0), ("cols", True), ("restarts", 2.5),
+                                              ("restarts", True), ("restarts", "2")])
+    def test_rejects_counts_that_are_not_ints(self, field, value):
+        # a float cols used to fail in range() inside the search, a float
+        # restarts at the beam slice, and restarts=True ran as width 1
+        kwargs = {"cols": 3, "q_cap": 450, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+            SearchConfig(**kwargs)
+
 
 @st.composite
 def parents(draw):
