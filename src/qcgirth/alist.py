@@ -10,21 +10,22 @@ Layout (positions are 1-indexed, lines newline-terminated, single spaces):
     M lines: column positions of each row, zero-padded to max_row_weight
 
 The writer lays each block out from the fixed-degree layout arrays, one
-whole-array pass per digit place.  The reader reads a text of ASCII digits,
-spaces and newlines alone, no token over 18 digits, in one numpy pass: line
-ends and token starts from the bytes, values from ``np.fromstring``.  Any
-other text it splits line by line, reading each token with Python ``int``,
-whose spellings it accepts.  The weight lines and support blocks are slices
-of the token array, checked as whole arrays.  It accepts zero padding and
-unsorted positions; it rejects duplicate and out-of-range positions, a line
-whose nonzero count differs from its declared weight, and column lists that
-disagree with the row lists.  Only a failed check walks the lines in file
-order, to report the first bad one.
+whole-array pass per digit place.  The reader has one tokenizer, a numpy pass
+over text of ASCII digits, spaces and newlines alone, no token over 18 digits:
+line ends and token starts from the bytes, values from ``np.fromstring``.  Text
+with other whitespace (CRLF, tabs, form feeds, runs of spaces) is respaced line
+by line, at ``str.splitlines``' line ends, and read by the same pass.  The
+header, weight lines and support blocks are slices of the token array, checked
+as whole arrays.  It accepts zero padding and unsorted positions; it rejects
+duplicate and out-of-range positions, a line whose nonzero count differs from
+its declared weight, and column lists that disagree with the row lists.  Any
+text the pass or the array checks refuse is read line by line, each token with
+Python ``int``, whose spellings it accepts (``+3``, ``٣``, long zero-padded
+tokens): that walk raises the first error in file order, or returns the same
+positions as the array checks.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -85,22 +86,10 @@ def _int_fields(line: str, what: str) -> list[int]:
 
 def import_alist(text: str) -> SparseBinaryMatrix:
     """Parse alist text back into a SparseBinaryMatrix, by the rules above."""
-    plain = _plain_tokens(text)
-    lines = None if plain else text.splitlines()
-    n_lines = plain[2].size if plain else len(lines)
-    if n_lines < 4:
-        raise ValueError("alist: fewer than 4 header lines")
-    size_line, weight_line = text[: plain[2][1]].split("\n") if plain else lines[:2]
-    n, m = _parse_pair(size_line, "size line")
-    max_col, max_row = _parse_pair(weight_line, "weight line")
-    if n < 1 or m < 1:
-        raise ValueError("alist: matrix dimensions must be positive")
-    tokens = plain[:2] if plain else _split_tokens(lines, 2, 4 + n + m)
-    ones = tokens and n_lines >= 4 + n + m and _supports(*tokens, n, m, max_col, max_row)
-    if not ones:
-        _first_error(text.splitlines(), n, m, max_col, max_row)
-        raise AssertionError("alist: array check and line check disagree")
-    at, pos = ones
+    tokens = _plain_tokens(text) or _plain_tokens(  # other whitespace respaced, line by line
+        "".join(" ".join(line.split()) + "\n" for line in text.splitlines()))
+    # whatever the one pass or the array checks refuse, the line walk decides
+    n, m, at, pos = tokens and _supports(*tokens) or _read_lines(text.splitlines())
     split = np.searchsorted(at, n)
     col_of, row_in_col, row_of, col_in_row = at[:split], pos[:split], at[split:] - n, pos[split:]
     matrix = SparseBinaryMatrix(m, n, np.searchsorted(row_of, np.arange(m + 1)), col_in_row)
@@ -117,7 +106,7 @@ def _parse_pair(line: str, what: str) -> tuple[int, int]:
 
 
 def _plain_tokens(text: str):
-    """(values, line, line ends) of every token in one pass, or None unless the text is
+    """(values, line, line count) of every token in one pass, or None unless the text is
     only ASCII digits, spaces and newlines, no token over 18 digits: numpy reads those
     exactly.  A last line with no newline ends at the end of the text, as in splitlines."""
     if not text.isascii():  # first, since a lone surrogate cannot be encoded
@@ -134,26 +123,22 @@ def _plain_tokens(text: str):
     if raw.size and not newline[-1]:
         ends = np.append(ends, raw.size)
     per_line = np.diff(np.searchsorted(starts, ends), prepend=0)
-    return values, np.repeat(np.arange(ends.size), per_line), ends
+    return values, np.repeat(np.arange(ends.size), per_line), ends.size
 
 
-def _split_tokens(lines: list[str], start: int, stop: int):
-    """(values, line) of the tokens of lines[start:stop], or None unless all are int64."""
-    tokens = [line.split() for line in lines[start:stop]]
-    try:
-        values = np.array(list(chain.from_iterable(tokens)), dtype=np.int64)  # int() of each str
-    except (ValueError, OverflowError):  # a non-integer token, or a value past int64
-        return None
-    return values, np.repeat(np.arange(start, start + len(tokens)), list(map(len, tokens)))
-
-
-def _supports(values, line, n: int, m: int, max_col: int, max_row: int):
-    """(line, zero-based position) of every listed position, ascending; None if a check fails.
+def _supports(values, line, n_lines: int):
+    """N, M and the (line, zero-based position) of every listed position, ascending;
+    None if a check fails.
 
     Lines count from the first support line, and pair in order with the N + M weights.
     Tokens come in text order, so each line's are one slice; the pairs are sorted only
     when the text's order does not ascend.
     """
+    if n_lines < 4 or np.searchsorted(line, [1, 2]).tolist() != [2, 4]:
+        return None  # fewer than four lines, or a size line not two integers
+    n, m, max_col, max_row = values[:4].tolist()
+    if n < 1 or m < 1 or n_lines < 4 + n + m:
+        return None
     cut = np.searchsorted(line, [2, 3, 4, 4 + n + m])
     weights = values[cut[0] : cut[2]]
     if (cut[1] - cut[0], cut[2] - cut[1]) != (n, m):
@@ -170,11 +155,18 @@ def _supports(values, line, n: int, m: int, max_col: int, max_row: int):
         key.sort()
         if not (np.diff(key) > 0).all():  # a position repeated in its line
             return None
-    return np.divmod(key, n + m)
+    return n, m, *np.divmod(key, n + m)
 
 
-def _first_error(lines: list[str], n: int, m: int, max_col: int, max_row: int) -> None:
-    """Raise the first error the line-by-line rules find past the size lines."""
+def _read_lines(lines: list[str]):
+    """Read the lines one by one, by the same rules: raise the first error in file
+    order, or return what :func:`_supports` would."""
+    if len(lines) < 4:
+        raise ValueError("alist: fewer than 4 header lines")
+    n, m = _parse_pair(lines[0], "size line")
+    max_col, max_row = _parse_pair(lines[1], "weight line")
+    if n < 1 or m < 1:
+        raise ValueError("alist: matrix dimensions must be positive")
     col_weights = _int_fields(lines[2], "column weights")
     row_weights = _int_fields(lines[3], "row weights")
     if len(col_weights) != n or len(row_weights) != m:
@@ -185,14 +177,15 @@ def _first_error(lines: list[str], n: int, m: int, max_col: int, max_row: int) -
         raise ValueError("alist: row weight exceeds declared maximum")
     if len(lines) < 4 + n + m:
         raise ValueError("alist: truncated support lists")
-    for j in range(n):
-        _parse_support(lines[4 + j], col_weights[j], m, f"column {j + 1}")
-    for i in range(m):
-        _parse_support(lines[4 + n + i], row_weights[i], n, f"row {i + 1}")
+    pos = [_parse_support(lines[4 + j], col_weights[j], m, f"column {j + 1}") for j in range(n)]
+    pos += [_parse_support(lines[4 + n + i], row_weights[i], n, f"row {i + 1}") for i in range(m)]
+    at = np.repeat(np.arange(n + m), col_weights + row_weights)
+    return n, m, at, np.array([p for line in pos for p in line], dtype=np.int64)
 
 
-def _parse_support(line: str, weight: int, bound: int, what: str) -> None:
-    """Raise the error of the first check that one support line fails, if any."""
+def _parse_support(line: str, weight: int, bound: int, what: str) -> list[int]:
+    """The sorted zero-based positions of one support line, or the error of the first
+    check it fails."""
     fields = _int_fields(line, what)
     positions = [f for f in fields if f != 0]
     if len(positions) != weight:
@@ -206,3 +199,4 @@ def _parse_support(line: str, weight: int, bound: int, what: str) -> None:
         if f in seen:
             raise ValueError(f"alist: duplicate position {f} in {what}")
         seen.add(f)
+    return sorted(f - 1 for f in positions)

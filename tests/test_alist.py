@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import qcgirth.alist
 from qcgirth import QcCode, SparseBinaryMatrix, expand, export_alist, import_alist
 
-from conftest import qc_codes, random_canonical_matrix
+from conftest import REFERENCE_SEED, qc_codes, random_canonical_matrix
 
 
 # Line-at-a-time reader and writer: the reference the array versions in
@@ -221,8 +221,9 @@ def test_shipped_seed_export_matches_reference_at_4419(ref_seed):
 # them line breaks to ``str.splitlines`` (form feed, lone carriage return);
 # spaces before and after; a line emptied; a position duplicated in its line;
 # lines swapped.  Then lines appended past the support lists, CRLF or LF
-# line ends, and a final line end or none.  Anything but ASCII digits, spaces
-# and LF, or a token past 18 digits, leaves the one-pass tokenizer.
+# line ends, and a final line end or none.  Other whitespace is respaced onto
+# the one-pass tokenizer; any other character, or a token past 18 digits, goes
+# to the line reader.
 _TOKENS = st.one_of(
     st.integers(-3, 14).map(str),
     st.sampled_from(["x", "+3", "1_0", "-0", "\u0663", "\ud800", "1" + "0" * 18, "9" * 20]),
@@ -283,25 +284,45 @@ def test_mutated_text_matches_reference(text):
         _assert_python_ints(got)
 
 
+def _plus_spelled_449() -> str:
+    # the P = 449 expansion's export with every support position spelled +k
+    lines = export_alist(expand(QcCode(REFERENCE_SEED, 449))).splitlines()
+    lines[4:] = [" ".join(f"+{tok}" for tok in line.split()) for line in lines[4:]]
+    return "\n".join(lines) + "\n"
+
+
+_PLUS_SPELLED_449 = _plus_spelled_449()
+
+
 @pytest.mark.parametrize("text", [
     "2 2\r\n1 1\r\n1 1\r\n1 1\r\n1\r\n2\r\n1\r\n2",  # CRLF, no final line end
     "2 2\n1 1\n1 1\n1 1\n1\n2\x0c1\n2\n",  # a form feed ends a line too
     "1 1\n99999999999999999999 0\n0\n0\n\n\n",  # a declared maximum past int64
     "1 1\n1 1\n1\n\ud800\n1\n1\n",  # a lone surrogate, which no codec encodes
+    pytest.param(_PLUS_SPELLED_449, id="P449-plus-spelled"),  # read line by line
 ])
 def test_line_breaks_and_long_tokens_match_reference(text):
     assert _outcome(import_alist, text) == _outcome(_reference_import_alist, text)
+    if text == _PLUS_SPELLED_449:
+        assert import_alist(text) == expand(QcCode(REFERENCE_SEED, 449))
 
 
 def test_plain_text_never_reaches_line_tokenizer(monkeypatch, ref_seed):
-    # an exported text is ASCII digits, single spaces and LF: one numpy pass
-    def refuse(lines, start, stop):
-        raise AssertionError("plain alist text split line by line")
+    # an exported text is ASCII digits, single spaces and LF: one numpy pass, with no
+    # splitlines; its CRLF and tab-separated forms are respaced onto that pass
+    class Unsplit(str):
+        def splitlines(self, keepends=False):
+            raise AssertionError("plain alist text split into lines")
 
-    monkeypatch.setattr(qcgirth.alist, "_split_tokens", refuse)
+    def refuse(lines):
+        raise AssertionError("alist text read line by line")
+
+    monkeypatch.setattr(qcgirth.alist, "_read_lines", refuse)
     irregular = SparseBinaryMatrix.from_rows(3, 5, ((0, 4), (), (1, 2, 3, 4)))
     for h in (expand(QcCode(ref_seed, 449)), irregular):
-        assert import_alist(export_alist(h)) == h
+        text = export_alist(h)
+        for form in (Unsplit(text), text.replace("\n", "\r\n"), text.replace(" ", "\t")):
+            assert import_alist(form) == h
 
 
 def test_round_trip_random_expansions():
@@ -317,6 +338,24 @@ def test_unsorted_positions_accepted():
     text = "2 2\n2 2\n2 2\n2 2\n1 2\n1 2\n2 1\n1 2\n"
     m = import_alist(text)
     assert m.row_supports == ((0, 1), (0, 1))
+    assert import_alist(text.replace("2 1", "+2 1")) == m  # the line reader sorts too
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices(), st.randoms(use_true_random=False))
+def test_line_reader_returns_what_the_array_checks_return(m, rnd):
+    # support lines shuffled, zero padding included: the same N, M, lines and positions
+    lines = export_alist(m).splitlines()
+    for i in range(4, len(lines)):
+        toks = lines[i].split()
+        rnd.shuffle(toks)
+        lines[i] = " ".join(toks)
+    text = "\n".join(lines) + "\n"
+    n, m_, *arrays = qcgirth.alist._supports(*qcgirth.alist._plain_tokens(text))
+    walked = qcgirth.alist._read_lines(text.splitlines())
+    assert walked[:2] == (n, m_) == (m.n_cols, m.n_rows)
+    for got, want in zip(walked[2:], arrays):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -328,6 +367,8 @@ def test_unsorted_positions_accepted():
         ("1 1\n1 1\n1\n1\n2\n1\n", "out of range"),
         ("2 2\n2 2\n2 2\n2 2\n1 2\n1 2\n1 1\n1 2\n", "duplicate"),
         ("2 2\n1 1\n1 1\n1 1\n1\n2\n2\n1\n", "disagree"),
+        ("1 1 1\n1 1\n1\n1\n1\n1\n", "two integers in size line"),
+        ("1 1\n1\n1\n1\n1\n1\n", "two integers in weight line"),
     ],
 )
 def test_malformed_inputs_rejected(text, message):
