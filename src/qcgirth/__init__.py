@@ -34,11 +34,9 @@ from .girth import (
 from .gf2 import gf2_rank
 from .search import SearchConfig, find_certified_seed
 from .matrices import (
-    CanonicalReport,
     ExponentMatrix,
     QcCode,
     SparseBinaryMatrix,
-    canonical_check,
     expand,
     load_matrix,
     matrix_from_json,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "CSV_HEADER",
-    "CanonicalReport",
     "ChannelParams",
     "ConditionReport",
     "CycleSpectrum",
@@ -67,7 +64,6 @@ __all__ = [
     "SearchConfig",
     "SparseBinaryMatrix",
     "TrialSummary",
-    "canonical_check",
     "check_seed_conditions",
     "decode_sp",
     "find_certified_seed",

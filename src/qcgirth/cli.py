@@ -206,7 +206,7 @@ def run(argv: list[str]) -> CommandOutcome:
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return CommandOutcome(EXIT_BUDGET, "")
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return CommandOutcome(EXIT_USAGE, "")
 

@@ -143,16 +143,12 @@ def syndrome(matrix: SparseBinaryMatrix, word) -> np.ndarray:
     return np.bitwise_xor.reduce(bits[matrix.layout[0]], axis=0)
 
 
-def _sum_in_order(slots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum over axis 0 from 0.0 in slot order, as np.bincount adds (ndarray.sum pairs).
-
-    Writes into *out* when given.
-    """
-    acc = np.empty(slots.shape[1]) if out is None else out
-    acc.fill(0.0)
+def _sum_in_order(slots: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 into *out* from 0.0 in slot order, as np.bincount adds (ndarray.sum pairs)."""
+    out.fill(0.0)
     for slot in slots:
-        acc += slot
-    return acc
+        out += slot
+    return out
 
 
 class _Workspace:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import BudgetError
 from .girth import CycleWitness, girth_fast
-from .matrices import (MAX_VALUE, ExponentMatrix, QcCode, canonical_check, check_ints,
-                       check_size, matrix_to_json)
+from .matrices import (MAX_VALUE, ExponentMatrix, QcCode, check_ints, check_size,
+                       matrix_to_json)
 
 MAX_FAMILY_MEMBERS = 1_000_000  # largest P window one extend_family call accepts
 
@@ -87,9 +87,13 @@ def _check_seed(matrix: ExponentMatrix) -> None:
     """Raise ValueError unless *matrix* is a canonical (3,L) seed."""
     if matrix.rows != 3:
         raise ValueError(f"seed conditions apply to (3,L) matrices only, got {matrix.rows} rows")
-    report = canonical_check(matrix)
-    if not report.passed:
-        raise ValueError(f"seed not canonical: {', '.join(report.failures)}")
+    failures = []
+    if any(matrix.entries[0]):
+        failures.append("first row not zero")
+    if any(row[0] for row in matrix.entries):
+        failures.append("first column not zero")
+    if failures:
+        raise ValueError(f"seed not canonical: {', '.join(failures)}")
 
 
 def _min_p(seed: ExponentMatrix) -> int:

@@ -151,13 +151,12 @@ def _alternating_count(symbols: int, k: int) -> int:
 
 def _alternating_sequences(symbols: int, k: int) -> np.ndarray:
     """All cyclic adjacent-distinct sequences, one per narrow-uint row, in lexicographic order."""
-    symbol = np.arange(symbols, dtype=np.min_scalar_type(max(symbols - 1, 0)))
-    seqs = symbol[:, None]
-    for _ in range(k - 1):
-        # Each sequence, in order, gains each symbol in ascending order.
-        seqs = np.column_stack([np.repeat(seqs, symbols, axis=0), np.tile(symbol, len(seqs))])
-        seqs = seqs[seqs[:, -1] != seqs[:, -2]]
-    return seqs[seqs[:, -1] != seqs[:, 0]]
+    top = max(symbols - 1, 0)
+    seqs = np.indices((symbols,) + (top,) * (k - 1), dtype=np.min_scalar_type(top)).reshape(k, -1)
+    for i in range(1, k):
+        # Digit i counts the symbols other than term i - 1, in ascending order.
+        seqs[i] += seqs[i] >= seqs[i - 1]
+    return seqs.T[seqs[-1] != seqs[0]]
 
 
 def _sequence_keys(seqs: np.ndarray, order: list[int], base: int) -> np.ndarray:

@@ -95,39 +95,6 @@ class ExponentMatrix:
 
 
 @dataclass(frozen=True)
-class CanonicalReport:
-    """Pass/fail report for the canonical form of an exponent matrix.
-
-    Canonical form: first row all zeros and first column all zeros (every
-    :class:`ExponentMatrix` entry is non-negative by construction).
-    """
-
-    first_row_zero: bool
-    first_col_zero: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.first_row_zero and self.first_col_zero
-
-    @property
-    def failures(self) -> tuple[str, ...]:
-        out = []
-        if not self.first_row_zero:
-            out.append("first row not zero")
-        if not self.first_col_zero:
-            out.append("first column not zero")
-        return tuple(out)
-
-
-def canonical_check(matrix: ExponentMatrix) -> CanonicalReport:
-    """Report (never raise) whether *matrix* is in canonical form."""
-    return CanonicalReport(
-        first_row_zero=all(e == 0 for e in matrix.entries[0]),
-        first_col_zero=all(row[0] == 0 for row in matrix.entries),
-    )
-
-
-@dataclass(frozen=True)
 class QcCode:
     """An exponent matrix paired with a circulant size P >= 2."""
 

@@ -111,6 +111,15 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: Q must be an integer in [2, 576460752303423488], got {q}\n")
 
+    def test_non_canonical_seed_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 3,
+                                    "entries": [[1, 0, 0], [5, 2, 1], [0, 3, 4]]}))
+        outcome = run(["verify", "--matrix", str(path), "--q", "50"])
+        assert (outcome.exit_code, outcome.stdout_payload) == (2, "")
+        assert capsys.readouterr() == (
+            "", "error: seed not canonical: first row not zero, first column not zero\n")
+
 
 class TestGirth:
     def test_girth_at_448(self, seed_path):

@@ -77,6 +77,14 @@ def _sum_ceiling(seed: ExponentMatrix) -> int:
     return 5 * max(seed.entries[2])
 
 
+# Seeds that break the canonical form, with the failures _check_seed names, in order.
+_NON_CANONICAL = {
+    "first_column": ([[0, 0, 0], [5, 2, 1], [0, 3, 4]], "first column not zero"),
+    "first_row": ([[0, 1, 0], [0, 2, 1], [0, 3, 4]], "first row not zero"),
+    "both": ([[1, 0, 0], [5, 2, 1], [0, 3, 4]], "first row not zero, first column not zero"),
+}
+
+
 class TestCheckSeedConditions:
     def test_reference_seed_report(self, ref_seed):
         report = check_seed_conditions(ref_seed, 393)
@@ -120,6 +128,26 @@ class TestCheckSeedConditions:
         m = ExponentMatrix.from_rows([[0, 0], [1, 2], [0, 3]])
         with pytest.raises(ValueError, match="canonical"):
             check_seed_conditions(m, 9)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda m: check_seed_conditions(m, 9), tightness_witness,
+         lambda m: extend_family(m, 9, 100, 101)],
+        ids=["check_seed_conditions", "tightness_witness", "extend_family"],
+    )
+    @pytest.mark.parametrize("rows, failures", _NON_CANONICAL.values(), ids=list(_NON_CANONICAL))
+    def test_non_canonical_failures_named_in_order(self, call, rows, failures):
+        with pytest.raises(ValueError) as info:
+            call(ExponentMatrix.from_rows(rows))
+        assert str(info.value) == f"seed not canonical: {failures}"
+
+    @pytest.mark.parametrize("cols", [1, 2, 6])
+    def test_all_zero_seed_passes_precondition(self, cols):
+        m = ExponentMatrix.from_rows([[0] * cols for _ in range(3)])
+        report = check_seed_conditions(m, 5)
+        assert report.min_p is None  # zero sums: no bound, but no precondition error
+        with pytest.raises(ValueError, match="^no min_P"):
+            tightness_witness(m)
 
     def test_column_permutation_leaves_extremes_alone(self, ref_seed):
         rng = random.Random(4)

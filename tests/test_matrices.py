@@ -13,7 +13,6 @@ from qcgirth import (
     ExponentMatrix,
     QcCode,
     SparseBinaryMatrix,
-    canonical_check,
     expand,
     load_matrix,
     matrix_from_json,
@@ -67,29 +66,6 @@ class TestExponentMatrix:
         assert ExponentMatrix(((0, MAX_VALUE),)).max_entry == MAX_VALUE
         with pytest.raises(ValueError, match="exceeds the limit"):
             ExponentMatrix(((0, MAX_VALUE + 1),))
-
-
-class TestCanonicalCheck:
-    def test_reference_seed_passes(self, ref_seed):
-        report = canonical_check(ref_seed)
-        assert report.passed
-        assert report.failures == ()
-
-    def test_all_zero_passes(self):
-        m = ExponentMatrix.from_rows([[0] * 6 for _ in range(3)])
-        assert canonical_check(m).passed
-
-    def test_nonzero_first_column_fails(self):
-        m = ExponentMatrix.from_rows([[0, 0], [5, 2], [0, 3]])
-        report = canonical_check(m)
-        assert not report.passed
-        assert "first column not zero" in report.failures
-
-    def test_nonzero_first_row_fails(self):
-        m = ExponentMatrix.from_rows([[0, 1], [0, 2]])
-        report = canonical_check(m)
-        assert not report.first_row_zero
-        assert "first row not zero" in report.failures
 
 
 class TestQcCode:
