@@ -159,3 +159,37 @@ def test_rank_ignores_empty_and_repeated_columns(rows, copies, gap):
     spread = tuple(tuple(c * stride + t for c in s for t in range(copies)) for s in supports)
     m = SparseBinaryMatrix.from_rows(n_rows, n_cols * stride, spread)
     assert gf2_rank(m) == _dense_rank(SparseBinaryMatrix.from_rows(*rows))
+
+
+@pytest.mark.parametrize("supports", [
+    ((), (0, 2), (1, 2), (0, 1)),
+    ((0, 2), (), (1, 2), (0, 1)),
+    ((0, 2), (1, 2), (0, 1), ()),
+    ((), (), (), ()),
+])
+def test_empty_rows_first_middle_last_and_all(supports):
+    # the lowest bit of a row is read per nonempty row only, so an empty row
+    # neither borrows its neighbour's ones nor reads past the last one
+    m = SparseBinaryMatrix.from_rows(len(supports), 3, supports)
+    assert gf2_rank(m) == _dense_rank(m)
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 64, 65])
+def test_row_windows_at_byte_edges(width):
+    # columns 0..width-1 become bits width..1 and column `width` bit 0, so the
+    # full row and its two ends span `width` bits, and the full row is the
+    # sum of its ends and its inside
+    ends, inside = (0, width - 1), tuple(range(1, width - 1))
+    supports = (tuple(range(width)), (width - 1, width), ends, inside)
+    m = SparseBinaryMatrix.from_rows(4, width + 1, supports)
+    assert gf2_rank(m) == _dense_rank(m) == 3
+
+
+@pytest.mark.parametrize("d", [1, 8, 9, 64, 65, 200])
+def test_one_row_spans_every_distinct_column(d):
+    rng = random.Random(d)
+    columns = sorted(rng.sample(range(300), d))
+    supports = [tuple(sorted(rng.sample(columns, rng.randint(0, d)))) for _ in range(12)]
+    supports.insert(rng.randint(0, 12), tuple(columns))
+    m = SparseBinaryMatrix.from_rows(13, 300, tuple(supports))
+    assert gf2_rank(m) == _dense_rank(m)

@@ -537,9 +537,16 @@ class TestEnumerationStructure:
         got, want = keys(table), keys(expected)
         assert (np.diff(got) > 0).all()  # (row_seq, col_seq) order, no repeats
         assert np.isin(want, got).all()
-        rows = np.unique(table // (j * l), axis=1)
-        np.testing.assert_array_equal(rows, np.unique(expected // (j * l), axis=1))
-        assert table.shape[1] == rows.shape[1] * _alternating_count(l, k)
+
+        def row_keys(terms):  # each row sequence as one base-j integer, by Horner's rule
+            key = np.zeros(terms.shape[1], np.int64)
+            for r in terms // (j * l):
+                key = key * j + r
+            return np.unique(key)
+
+        rows = row_keys(table)
+        np.testing.assert_array_equal(rows, row_keys(expected))
+        assert table.shape[1] == rows.size * _alternating_count(l, k)
         # Witnesses: the first closing candidate of a fixed matrix, at P = 2..30.
         rng = np.random.default_rng(j * 100 + l * 10 + k)
         entries = rng.integers(0, 30, size=(j, l))
