@@ -59,7 +59,6 @@ GRAPH_BFS = "GRAPH_BFS"
 SUPPORTED_CYCLE_LENGTHS = (4, 6, 8, 10, 12)
 SHORT_CYCLE_LENGTHS = (4, 6, 8, 10)
 SEQUENCE_BUDGET = 5_000_000  # candidate sequences per enumerated length
-_NO_HITS = np.zeros(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,12 @@ class CycleWitness:
             raise ValueError("row_seq and col_seq must each hold length/2 indices")
         check_size(self.modulus, "modulus")
         for i in range(k):
-            if self.row_seq[i] == self.row_seq[(i + 1) % k]:
+            r, c = self.row_seq[i], self.col_seq[i]
+            if type(r) is not int or type(c) is not int or r < 0 or c < 0:
+                raise ValueError("witness indices must be non-negative integers")
+            if r == self.row_seq[(i + 1) % k]:
                 raise ValueError("consecutive rows must differ")
-            if self.col_seq[i] == self.col_seq[(i + 1) % k]:
+            if c == self.col_seq[(i + 1) % k]:
                 raise ValueError("consecutive columns must differ")
 
     def exponent_sum(self, matrix: ExponentMatrix) -> int:
@@ -252,21 +254,40 @@ def exponent_sums(matrix: ExponentMatrix, length: int) -> np.ndarray:
 
 
 def find_cycle(matrix: ExponentMatrix, p: int, length: int) -> CycleWitness | None:
-    """Search for a cycle of exactly *length* at modulus *p*.
+    """The first cycle of *length* (4..12) in table order closing at size *p*, or None.
 
-    Exhaustive over all alternating closed sequences of that length; returns
-    the lexicographically smallest canonical witness, or None.  Raises
+    The one test of whether a length closes at one P: a divisor test on
+    ``matrix.spectrum``'s cached sums of that length, where only multiples of
+    p up to max|S| meet the sums, so each fits their dtype.  The first hit is
+    the smallest (row_seq, col_seq) of its cycle (module docstring).  Raises
     BudgetError past SEQUENCE_BUDGET (use the BFS oracle instead).
     """
-    return matrix.spectrum.witness(p, length)
+    check_size(p, "modulus")
+    sums, lo, hi = matrix.spectrum._scan(length)
+    first = -(-lo // p) * p  # the smallest multiple of p that is >= min|S|
+    if first > hi:
+        return None
+    # One multiple in [min|S|, max|S|] needs an equality test, not a modulo.
+    closes = sums == first if first + p > hi else sums % p == 0
+    hit = int(closes.argmax())
+    if not closes[hit]:
+        return None
+    j, l, k = matrix.rows, matrix.cols, length // 2
+    pairs = _row_pairs(j, k)
+    counts, back = _column_halves(l, k)
+    row, col = divmod(hit, back.size)
+    front = counts.cumsum().searchsorted(col, side="right")
+    cols = np.unravel_index(front * l ** (k // 2) + back[col], (l,) * k)
+    return CycleWitness(length, tuple((pairs[row] // j).tolist()), tuple(map(int, cols)), p)
 
 
 class CycleSpectrum:
     """Exponent-sum magnitudes of a matrix's candidate cycles, per length.
 
-    Each length's table is scanned once, on first use, under the sequence
-    budget; after that a cycle question at any size P is a divisor test on
-    the sums.  Read it as :attr:`ExponentMatrix.spectrum`, one per matrix.
+    Each length's (|sums|, min, max) is scanned once, on first use, under the
+    sequence budget.  :func:`find_cycle` reads them to ask whether a length
+    closes at one P; :meth:`bound` reads them for the P past which none does.
+    Read it as :attr:`ExponentMatrix.spectrum`, one per matrix.
     """
 
     def __init__(self, matrix: ExponentMatrix):
@@ -282,39 +303,6 @@ class CycleSpectrum:
             np.abs(sums, out=sums)
             self._sums[length] = sums, int(sums.min(initial=1)), int(sums.max(initial=0))
         return self._sums[length]
-
-    def _closing(self, p: int, length: int) -> np.ndarray:
-        """Table indices, in order, of the candidates of *length* closing at *p*:
-        only multiples of p up to max|S| meet the sums, so each fits their dtype."""
-        sums, lo, hi = self._scan(length)
-        first = -(-lo // p) * p  # the smallest multiple of p that is >= min|S|
-        if first > hi:
-            return _NO_HITS
-        # One multiple in [min|S|, max|S|] needs an equality test, not a modulo.
-        return np.flatnonzero(sums == first if first + p > hi else sums % p == 0)
-
-    def shortest_cycle(self, p: int) -> int | None:
-        """Shortest length through 10 with a cycle closing at size *p*, or None."""
-        check_size(p, "modulus")
-        for length in SHORT_CYCLE_LENGTHS:
-            if self._closing(p, length).size:
-                return length
-        return None
-
-    def witness(self, p: int, length: int) -> CycleWitness | None:
-        """The first cycle of *length* (4..12) in table order closing at *p*."""
-        check_size(p, "modulus")
-        hits = self._closing(p, length)
-        if not hits.size:
-            return None
-        j, l, k = self._matrix.rows, self._matrix.cols, length // 2
-        pairs = _row_pairs(j, k)
-        counts, back = _column_halves(l, k)
-        row, col = divmod(int(hits[0]), back.size)
-        front = np.searchsorted(np.cumsum(counts), col, side="right")
-        cols = np.unravel_index(front, (l,) * ((k + 1) // 2))
-        cols += np.unravel_index(back[col], (l,) * (k // 2))
-        return CycleWitness(length, tuple((pairs[row] // j).tolist()), tuple(map(int, cols)), p)
 
     def bound(self) -> int | None:
         """Smallest P0 with girth exactly 12 at every P >= P0.
@@ -339,17 +327,18 @@ def _closes_12_at_every_p(matrix: ExponentMatrix) -> bool:
 def girth_fast(matrix: ExponentMatrix, p: int) -> GirthReport:
     """Girth from the exponent matrix alone, for every shape.
 
-    The shortest cycle through length 10 closing at *p*, with its witness.
-    Else, by the girth-12 rule (module docstring): 12, None for one row or
-    column, or the 2 x 2 closed form, at least 12 once no 4- or 8-cycle closes.
+    The first length through 10 whose :func:`find_cycle` closes at *p*, with
+    that witness, so the girth is the witness's length.  Else, by the girth-12
+    rule (module docstring): 12, None for one row or column, or the 2 x 2
+    closed form, at least 12 once no 4- or 8-cycle closes.
     """
     check_size(p, "modulus")
     if matrix.rows < 2 or matrix.cols < 2:
         return GirthReport(girth=None, method=EXPONENT_CHECK, witness=None)
-    length = matrix.spectrum.shortest_cycle(p)
-    if length is not None:
+    for length in SHORT_CYCLE_LENGTHS:
         witness = find_cycle(matrix, p, length)
-        return GirthReport(girth=length, method=EXPONENT_CHECK, witness=witness)
+        if witness is not None:
+            return GirthReport(girth=length, method=EXPONENT_CHECK, witness=witness)
     if _closes_12_at_every_p(matrix):
         return GirthReport(girth=12, method=EXPONENT_CHECK, witness=None)
     (e00, e01), (e10, e11) = matrix.entries

@@ -64,11 +64,15 @@ def passing_seeds(draw, max_in_argmax_column=False):
     second = max(p2[v] for v in range(l) if v != x)
     p2[x] = max(p2[x], second + max(p1) + draw(st.integers(0, 100)))
     seed = ExponentMatrix.from_rows([[0] * l, p1, p2])
-    spectrum = CycleSpectrum(seed)
     for q in range(p2[x] + 1, _sum_ceiling(seed) + 1):
-        if spectrum.shortest_cycle(q) is None:
+        if _spectrum_girth(seed, q) == 12:
             return seed, q
     return seed, None
+
+
+def _spectrum_girth(seed: ExponentMatrix, p: int) -> int:
+    """The first length through 10 with a cycle closing at *p*, else 12."""
+    return next((n for n in (4, 6, 8, 10) if find_cycle(seed, p, n)), 12)
 
 
 def _sum_ceiling(seed: ExponentMatrix) -> int:
@@ -383,9 +387,8 @@ class TestExactBound:
         assume(seed.rows * seed.cols * report.min_p <= MAX_LAYOUT_EDGES)
         assert girth_oracle(seed, report.min_p) == 12
         assert girth_oracle(seed, report.min_p - 1) < 12
-        spectrum = CycleSpectrum(seed)
         for p in range(report.min_p, _sum_ceiling(seed) + 1):
-            assert spectrum.shortest_cycle(p) is None, p
+            assert _spectrum_girth(seed, p) == 12, p
 
     @settings(max_examples=100, deadline=None)
     @given(passing_seeds(max_in_argmax_column=True))
@@ -522,15 +525,13 @@ class TestWholeFamilyCrossCheck:
     """The spectrum girth against both independent paths, P by P."""
 
     def test_matches_girth_fast_for_every_p_up_to_3000(self, ref_seed):
-        spectrum = CycleSpectrum(ref_seed)
         for p in range(2, 3001):
-            assert (spectrum.shortest_cycle(p) or 12) == girth_fast(ref_seed, p).girth, p
+            assert _spectrum_girth(ref_seed, p) == girth_fast(ref_seed, p).girth, p
 
     def test_matches_oracle_across_and_below_the_family(self, ref_seed):
         # 449..478 is the 30-member family; below min_P = 449, short cycles
         # close wherever P divides an exponent sum (8-cycles at P = 448)
-        spectrum = CycleSpectrum(ref_seed)
-        girths = {p: spectrum.shortest_cycle(p) or 12 for p in range(380, 479)}
+        girths = {p: _spectrum_girth(ref_seed, p) for p in range(380, 479)}
         assert girths[448] == 8
         assert set(girths[p] for p in range(449, 479)) == {12}
         for p, girth in girths.items():

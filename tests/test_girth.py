@@ -206,6 +206,13 @@ class TestCycleWitness:
         w = CycleWitness(4, (0, 9), (0, 1), 7)
         with pytest.raises(ValueError, match="out of range"):
             w.exponent_sum(ref_seed)
+        # row -3 of a 3-row matrix would read row 0, so (0, -3) would certify
+        # a step from row 0 to row 0; -1 would read the last row
+        for rows, cols in [((0, -3), (0, 1)), ((0, -1), (0, 1)), ((0, 1), (-1, 0)),
+                           ((0, True), (0, 1)), ((0, 1), (False, 1)),
+                           ((0, np.int64(1)), (0, 1)), ((0, 1), (0, 1.0)), ((0, "1"), (0, 1))]:
+            with pytest.raises(ValueError, match="non-negative integers"):
+                CycleWitness(4, rows, cols, 7)
 
 
 class TestFindCycle:
@@ -640,7 +647,7 @@ class TestEnumerationStructure:
             top = int(np.abs(exponent_sums(seed, length).astype(np.int64)).max())
             for p in (seed.spectrum.bound() - 1, top):
                 want = _reference_find_cycle(seed, p, length)
-                assert seed.spectrum.witness(p, length) == want, (length, p)
+                assert find_cycle(seed, p, length) == want, (length, p)
                 closing += want is not None
         assert closing >= 5
 
@@ -693,10 +700,9 @@ class TestExponentSums:
                 assert witness.exponent_sum(m) == int(sums[i])
 
     def test_spectrum_rejects_size_past_the_value_limit(self, ref_seed):
-        spectrum = CycleSpectrum(ref_seed)
-        assert spectrum.shortest_cycle(MAX_VALUE) is None
+        assert girth_fast(ref_seed, MAX_VALUE).witness is None
         with pytest.raises(ValueError, match="modulus"):
-            spectrum.shortest_cycle(MAX_VALUE + 1)
+            girth_fast(ref_seed, MAX_VALUE + 1)
 
     def test_no_candidates_is_empty(self):
         assert exponent_sums(ExponentMatrix.from_rows([[0, 1, 2]]), 4).size == 0
@@ -767,22 +773,22 @@ class TestNarrowSums:
             assert witness.exponent_sum(m) == total
         wide = {n: _int64_sums(m, n) for n in (4, 6, 8, 10, 12)}
         tops = [int(np.abs(s).max()) for s in wide.values() if s.size]
-        spectrum = CycleSpectrum(m)
         for p in {*range(2, 61), *tops, *(t + 1 for t in tops), 40_000, 2 ** 31 + 1, MAX_VALUE}:
             if not 2 <= p <= MAX_VALUE:
                 continue
             hits = {n: np.flatnonzero(s % p == 0) for n, s in wide.items()}
-            assert spectrum.shortest_cycle(p) == next(
+            witness = girth_fast(m, p).witness
+            assert (witness and witness.length) == next(
                 (n for n in (4, 6, 8, 10) if hits[n].size), None), p
             for n, hit in hits.items():
                 expected = (CycleWitness(n, *_candidate(m.rows, m.cols, n // 2, int(hit[0])), p)
                             if hit.size else None)
-                assert spectrum.witness(p, n) == expected, (p, n)
+                assert find_cycle(m, p, n) == expected, (p, n)
         short = [np.abs(wide[n]) for n in (4, 6, 8, 10)]
         closes_12 = min(m.rows, m.cols) >= 2 and max(m.rows, m.cols) >= 3
         zero = any((s == 0).any() for s in short)
         top = max(int(s.max(initial=0)) for s in short)
-        assert spectrum.bound() == (top + 1 if closes_12 and not zero else None)
+        assert m.spectrum.bound() == (top + 1 if closes_12 and not zero else None)
 
 
 def _matrices(rows, cols, entries):
@@ -806,19 +812,22 @@ class TestSpectrumProperties:
         p=st.integers(2, 500),
     )
     def test_shortest_cycle_matches_find_cycle_and_witnesses(self, m, p):
-        # unreduced sums (spectrum) vs reduced sums (find_cycle) vs the
-        # witness's own Python-integer evaluation
+        # girth_fast's first hit vs find_cycle per length vs the uncached
+        # reference scan, and each witness's own Python-integer evaluation
         witnesses = [find_cycle(m, p, n) for n in (4, 6, 8, 10)]
         for w in witnesses:
             assert w is None or w.holds_for(m)
-        first = next((w.length for w in witnesses if w is not None), None)
-        assert CycleSpectrum(m).shortest_cycle(p) == first
+        first = next((w for w in witnesses if w is not None), None)
+        report = girth_fast(m, p)
+        assert report.witness == first
+        assert (report.girth == first.length) if first else (report.girth >= 12)
+        assert (first and first.length or 0) == _reference_shortest_cycle(m, p)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(m=_matrices(st.just(3), st.integers(2, 5), st.integers(0, 300)), p=st.integers(2, 40))
     def test_three_row_girth_is_shortest_cycle_or_12(self, m, p):
         # (3,L) with L >= 2 always closes 12-cycles, L = 2 included
-        assert (CycleSpectrum(m).shortest_cycle(p) or 12) == girth_oracle(m, p)
+        assert girth_fast(m, p).girth == girth_oracle(m, p)
 
 
 class TestSpectrumWitness:
@@ -909,7 +918,6 @@ class TestDivisorTest:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(m=_divisor_matrices())
     def test_matches_the_modulo_at_the_edges_of_every_length(self, m):
-        spectrum = CycleSpectrum(m)
         lengths = (4, 6, 8, 10, 12)
         ps = set()
         for length in lengths:
@@ -918,9 +926,10 @@ class TestDivisorTest:
                 lo, hi = int(sums.min()), int(sums.max())
                 ps |= {lo - 1, lo, lo + 1, hi // 2, hi // 2 + 1, hi, hi + 1}
         for p in sorted(p for p in ps if 2 <= p <= MAX_VALUE):
-            assert spectrum.shortest_cycle(p) == (_reference_shortest_cycle(m, p) or None), p
+            witness = girth_fast(m, p).witness
+            assert (witness and witness.length or 0) == _reference_shortest_cycle(m, p), p
             for n in lengths:
-                assert spectrum.witness(p, n) == _reference_find_cycle(m, p, n), (p, n)
+                assert find_cycle(m, p, n) == _reference_find_cycle(m, p, n), (p, n)
         for p in (0, 1, MAX_VALUE + 1):
             with pytest.raises(ValueError, match="modulus"):
-                spectrum.shortest_cycle(p)
+                find_cycle(m, p, 4)

@@ -90,8 +90,6 @@ _SIZE_TAKERS = {
     "QcCode": ("circulant size", QcCode),
     "girth_fast": ("modulus", girth_fast),
     "find_cycle": ("modulus", lambda m, v: find_cycle(m, v, 8)),
-    "shortest_cycle": ("modulus", lambda m, v: m.spectrum.shortest_cycle(v)),
-    "witness": ("modulus", lambda m, v: m.spectrum.witness(v, 8)),
     "girth_oracle": ("modulus", girth_oracle),
     "check_seed_conditions": ("Q", check_seed_conditions),
     "SearchConfig": ("q_cap", lambda m, v: SearchConfig(6, v)),

@@ -64,10 +64,10 @@ class TestChildGrid:
         a, b = (x.ravel() for x in np.meshgrid(np.arange(a0, a0 + 8), np.arange(b0, b0 + 8)))
         feasible, bound = _child_grid(parent, q, a, b)
         for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
-            spectrum = _extended(parent, ai, bi).spectrum
-            assert feasible[i] == (spectrum.shortest_cycle(q) is None)
-            if spectrum.bound() is not None:
-                assert bound[i] == spectrum.bound()
+            child = _extended(parent, ai, bi)
+            assert feasible[i] == (girth_fast(child, q).girth == 12)
+            if child.spectrum.bound() is not None:
+                assert bound[i] == child.spectrum.bound()
 
     def test_two_columns_match_the_bfs_oracle(self):
         # independent derivation: the BFS girth of every (0, a, b) second
